@@ -11,6 +11,7 @@ from .bench import (
     BenchCell,
     Scenario,
     accuracy,
+    analyze_trace,
     default_scenario,
     fig2_scenario,
     precision,
@@ -32,15 +33,9 @@ from .emitter import (
     BlinkTrace,
     DwellDistribution,
     EmitterModel,
-    TrapChannel,
     generate_trace,
-    intensity,
     read_trace,
     sample_dwell,
-    simulate_channel_activity,
-    survival_prob,
-    switching_prob,
-    total_trap_rate,
     write_trace,
 )
 from .errors import (

@@ -23,7 +23,7 @@ import numpy as np
 from . import ga as ga_mod
 from . import mfr as mfr_mod
 from .dwell import auto_threshold, binarize, dwell_histogram, empirical_density, mean_dwell
-from .emitter import EmitterModel, generate_trace
+from .emitter import BlinkTrace, EmitterModel, generate_trace
 from .errors import BlinkfitError
 from .estimate import RateEstimate
 from .levmar import fit_exponential
@@ -97,7 +97,7 @@ def _failed(method: str, error: Exception) -> RateEstimate:
         std_err=float("nan"),
         method=method,
         converged=False,
-        diagnostics={"error": type(error).__name__},
+        diagnostics={"error": type(error).__name__, "message": str(error)},
     )
 
 
@@ -111,6 +111,44 @@ def _lm_estimate(hist) -> RateEstimate:
     return est
 
 
+def analyze_trace(
+    trace: BlinkTrace,
+    method: str,
+    seed: int,
+    *,
+    models: dict[str, mfr_mod.MfrModel] | None = None,
+    ga_config: ga_mod.GaConfig | None = None,
+) -> tuple[float | None, dict[str, RateEstimate]]:
+    """Threshold a trace, tally its dwells and estimate both lifetimes.
+
+    The one analysis path of the bench and of `blinkfit analyze`.  models
+    maps "on"/"off" to the MFR models (method "mfr" only); the GA draws
+    from stable_seed(seed, "ga", state).  Returns the threshold (None when
+    thresholding or histogramming failed) and an estimate per state.
+    Estimator failures are recorded as non-converged estimates rather than
+    raised; the failure class and message are kept in the diagnostics.
+    """
+    try:
+        threshold = auto_threshold(trace)
+        hists = dict(zip(("on", "off"), dwell_histogram(binarize(trace, threshold))))
+    except (BlinkfitError, ValueError) as exc:
+        return None, {state: _failed(method, exc) for state in ("on", "off")}
+
+    out = {}
+    for state, hist in hists.items():
+        try:
+            if method == "lm":
+                out[state] = _lm_estimate(hist)
+            elif method == "mfr":
+                out[state] = mfr_mod.estimate(models[state], hist, trace.duration)
+            else:
+                cfg = ga_config or ga_mod.GaConfig(tau_range=DEFAULT_GA_TAU_RANGE)
+                out[state] = ga_mod.run_ga(hist, cfg, rng=stable_seed(seed, "ga", state))
+        except (BlinkfitError, ValueError) as exc:
+            out[state] = _failed(method, exc)
+    return threshold, out
+
+
 def run_trial(
     scenario: Scenario,
     duration: float,
@@ -120,11 +158,7 @@ def run_trial(
     models: dict | None = None,
     ga_config: ga_mod.GaConfig | None = None,
 ) -> dict[str, RateEstimate]:
-    """One seeded trial: simulate, threshold, histogram, estimate both states.
-
-    Estimator failures are recorded as non-converged estimates rather than
-    raised; the failure class is kept in the diagnostics.
-    """
+    """One seeded trial: simulate a trace, then analyze_trace it."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "mfr" and (models is None or duration not in models):
@@ -132,25 +166,9 @@ def run_trial(
     seed = stable_seed(scenario.base_seed, duration, method, trial_index)
     model = EmitterModel(tau_on=scenario.tau_on, tau_off=scenario.tau_off)
     trace = generate_trace(model, duration, scenario.bin_width, scenario.noise, rng=seed)
-    try:
-        threshold = auto_threshold(trace)
-        hists = dict(zip(("on", "off"), dwell_histogram(binarize(trace, threshold))))
-    except (BlinkfitError, ValueError) as exc:
-        return {state: _failed(method, exc) for state in ("on", "off")}
-
-    out = {}
-    for state, hist in hists.items():
-        try:
-            if method == "lm":
-                out[state] = _lm_estimate(hist)
-            elif method == "mfr":
-                out[state] = mfr_mod.estimate(models[duration][state], hist, duration)
-            else:
-                cfg = ga_config or ga_mod.GaConfig(tau_range=DEFAULT_GA_TAU_RANGE)
-                out[state] = ga_mod.run_ga(hist, cfg, rng=stable_seed(seed, "ga", state))
-        except (BlinkfitError, ValueError) as exc:
-            out[state] = _failed(method, exc)
-    return out
+    state_models = models[duration] if method == "mfr" else None
+    _, estimates = analyze_trace(trace, method, seed, models=state_models, ga_config=ga_config)
+    return estimates
 
 
 def train_mfr_models(

@@ -19,10 +19,10 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import ga as ga_mod
 from . import mfr as mfr_mod
-from .dwell import auto_threshold, binarize, dwell_histogram, empirical_density
+# the dwell and levmar names are unused here; perfbench/probe.py patches them on this module
+from .dwell import auto_threshold, binarize, dwell_histogram  # noqa: F401
 from .emitter import EmitterModel, generate_trace, read_trace, write_trace
-from .errors import BlinkfitError
-from .levmar import fit_exponential
+from .levmar import fit_exponential  # noqa: F401
 
 DEFAULT_SEED = 1234
 
@@ -116,65 +116,37 @@ def _print_estimate(state: str, est) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        trace = read_trace(args.trace)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _Parser._fail(str(exc))
-
     if args.method == "mfr" and not args.model:
         return _Parser._fail("--method mfr requires --model")
-
     try:
-        threshold = auto_threshold(trace)
-        hist_on, hist_off = dwell_histogram(binarize(trace, threshold))
-    except (BlinkfitError, ValueError) as exc:
-        print(f"analysis failed: {exc}", file=sys.stderr)
-        return 2
+        trace = read_trace(args.trace)
+        models = ga_config = None
+        if args.method == "mfr":
+            models = {s: mfr_mod.MfrModel.load(f"{args.model}_{s}.json") for s in ("on", "off")}
+        if args.method == "ga" and args.ga_config:
+            ga_config = ga_mod.GaConfig.from_json(args.ga_config)
+    except (OSError, ValueError) as exc:
+        return _Parser._fail(str(exc))
 
-    estimates = {}
-    for state, hist in (("on", hist_on), ("off", hist_off)):
-        try:
-            if args.method == "lm":
-                estimates[state] = fit_exponential(empirical_density(hist))
-            elif args.method == "mfr":
-                model = mfr_mod.MfrModel.load(f"{args.model}_{state}.json")
-                if trace.bin_width != model.bin_width:
-                    print(
-                        f"warning: model bin width {model.bin_width} s differs from "
-                        f"trace bin width {trace.bin_width} s",
-                        file=sys.stderr,
-                    )
-                estimates[state] = mfr_mod.estimate(model, hist, trace.duration)
-            else:
-                if args.ga_config:
-                    cfg = ga_mod.GaConfig.from_json(args.ga_config)
-                else:
-                    cfg = ga_mod.GaConfig(tau_range=bench_mod.DEFAULT_GA_TAU_RANGE)
-                seed = bench_mod.stable_seed(args.seed, "ga", state)
-                estimates[state] = ga_mod.run_ga(hist, cfg, rng=seed)
-        except OSError as exc:
-            return _Parser._fail(str(exc))
-        except (BlinkfitError, ValueError) as exc:
-            print(f"analysis failed for {state} state: {exc}", file=sys.stderr)
-            estimates[state] = None
-
-    all_converged = True
+    threshold, estimates = bench_mod.analyze_trace(
+        trace, args.method, args.seed, models=models, ga_config=ga_config
+    )
     report = {"method": args.method, "seed": args.seed, "threshold": threshold}
     for state, est in estimates.items():
-        if est is None:
-            all_converged = False
+        if "error" in est.diagnostics:
+            message = est.diagnostics["message"]
+            print(f"analysis failed for {state} state: {message}", file=sys.stderr)
             report[f"tau_{state}_s"] = None
-            continue
-        _print_estimate(state, est)
-        all_converged &= est.converged
-        report[f"tau_{state}_s"] = est.tau_hat
-        report[f"tau_{state}_std_err_s"] = est.std_err
+        else:
+            _print_estimate(state, est)
+            report[f"tau_{state}_s"] = est.tau_hat
+            report[f"tau_{state}_std_err_s"] = est.std_err
         report[f"{state}_converged"] = est.converged
     if trace.truth is not None:
         print(f"sidecar truth: tau_on={trace.truth[0]} s tau_off={trace.truth[1]} s")
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0 if all_converged else 2
+    return 0 if all(est.converged for est in estimates.values()) else 2
 
 
 def _cmd_train_mfr(args) -> int:

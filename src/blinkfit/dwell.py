@@ -8,7 +8,6 @@ lengths form the dwell histograms that every estimator consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -182,33 +181,3 @@ def mean_dwell(hist: DwellHistogram) -> float:
     if total <= 0:
         raise ValueError("histogram has no occurrences")
     return float((hist.durations * hist.occurrences).sum() / total)
-
-
-def write_histograms(path, hist_on: DwellHistogram, hist_off: DwellHistogram) -> None:
-    """Write both histograms to one CSV (state,duration_ms,occurrences)."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write("state,duration_ms,occurrences\n")
-        for hist in (hist_on, hist_off):
-            for idx, occ in zip(hist.indices, hist.occurrences):
-                fh.write(f"{hist.state},{repr(float(idx) * hist.bin_width * 1e3)},{occ}\n")
-
-
-def read_histograms(path, bin_width: float) -> tuple[DwellHistogram, DwellHistogram]:
-    """Read a histogram CSV written by write_histograms."""
-    path = Path(path)
-    rows = {"on": [], "off": []}
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != "state,duration_ms,occurrences":
-            raise ValueError(f"unexpected histogram header {header!r}")
-        for line in fh:
-            state, dur_ms, occ = line.strip().split(",")
-            rows[state].append((int(round(float(dur_ms) * 1e-3 / bin_width)), int(occ)))
-    out = []
-    for state in ("on", "off"):
-        data = sorted(rows[state])
-        idx = np.array([r[0] for r in data], dtype=int)
-        occ = np.array([r[1] for r in data], dtype=int)
-        out.append(DwellHistogram(state, bin_width, idx, occ))
-    return out[0], out[1]

@@ -11,16 +11,10 @@ per-bin photocounts are emitted with optional Poisson shot noise.
 from __future__ import annotations
 
 import json
-import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-# k_I and k_r should exceed every trap rate by at least this factor for the
-# steady-state intensity expression to hold; violations only warn.
-RATE_SEPARATION = 10.0
 
 DEFAULT_MEAN_ON_COUNTS = 100.0
 DEFAULT_MEAN_OFF_COUNTS = 10.0
@@ -56,57 +50,16 @@ class DwellDistribution:
 
 
 @dataclass(frozen=True)
-class TrapChannel:
-    """One non-radiative recombination pathway.
-
-    k_j is the trap rate while the channel is active; gamma_plus/gamma_minus
-    are the passive-to-active and active-to-passive switching rates.
-    """
-
-    k_j: float
-    gamma_plus: float = 0.0
-    gamma_minus: float = 0.0
-    active: bool = True
-
-    def __post_init__(self):
-        if self.k_j < 0 or self.gamma_plus < 0 or self.gamma_minus < 0:
-            raise ValueError("trap channel rates must be non-negative")
-
-
-@dataclass(frozen=True)
 class EmitterModel:
-    """Physical parameters of a blinking emitter.
-
-    tau_on/tau_off are the mean state lifetimes in seconds; k_I, k_r and the
-    trap rates only enter the steady-state intensity expression (the
-    two-state benchmark path samples dwell times directly from
-    tau_on/tau_off).
-    """
+    """Mean state lifetimes (seconds) and the shape of the dwell-time law."""
 
     tau_on: float
     tau_off: float
-    k_I: float = 1e8
-    k_r: float = 1e7
-    k_0: float = 0.0
-    channels: tuple[TrapChannel, ...] = ()
     dwell_dist: DwellDistribution = field(default_factory=DwellDistribution)
 
     def __post_init__(self):
         if self.tau_on <= 0 or self.tau_off <= 0:
             raise ValueError("tau_on and tau_off must be positive")
-        if self.k_I <= 0 or self.k_r <= 0:
-            raise ValueError("k_I and k_r must be positive")
-        if self.k_0 < 0:
-            raise ValueError("k_0 must be non-negative")
-        object.__setattr__(self, "channels", tuple(self.channels))
-        rates = [self.k_0] + [c.k_j for c in self.channels]
-        k_max = max(rates)
-        if k_max > 0 and min(self.k_I, self.k_r) < RATE_SEPARATION * k_max:
-            warnings.warn(
-                "excitation/radiative rates are not much faster than the trap rates; "
-                "the steady-state intensity expression may not hold",
-                stacklevel=2,
-            )
 
 
 @dataclass(eq=False)
@@ -147,36 +100,6 @@ class BlinkTrace:
     def times(self) -> np.ndarray:
         """Start time of each bin in seconds."""
         return np.arange(self.counts.size) * self.bin_width
-
-
-def total_trap_rate(channels, k_0: float) -> float:
-    """Total non-radiative rate: k_0 plus every active channel's k_j.
-
-    The background term k_0 is always active, independent of the channels.
-    """
-    return k_0 + sum(c.k_j for c in channels if c.active)
-
-
-def intensity(k_I: float, k_r: float, k_t: float) -> float:
-    """Steady-state photoluminescence fraction k_I / (k_I + k_r + k_t)."""
-    denom = k_I + k_r + k_t
-    if denom <= 0:
-        raise ValueError("k_I + k_r + k_t must be positive")
-    return k_I / denom
-
-
-def survival_prob(tau: float, t: float) -> float:
-    """Probability of still being in the same state after elapsed time t."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if t < 0:
-        raise ValueError("elapsed time must be non-negative")
-    return math.exp(-t / tau)
-
-
-def switching_prob(tau: float, t: float) -> float:
-    """Probability of having left the state after elapsed time t."""
-    return 1.0 - survival_prob(tau, t)
 
 
 def sample_dwell(state: str, model: EmitterModel, rng: np.random.Generator) -> float:
@@ -293,37 +216,6 @@ def _add_interval(on_time, a, b, bin_width, n_bins):
         on_time[i0 + 1 : i1] += bin_width
 
 
-def simulate_channel_activity(
-    model: EmitterModel, duration: float, dt: float, rng=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evolve the trap channels' on/off activity and the resulting intensity.
-
-    Each channel flips passive->active with rate gamma_plus and back with
-    rate gamma_minus (independent telegraph processes, sampled on a dt
-    grid).  Returns (times, total_trap_rate_series, intensity_series).
-    This drives the generalized intensity expression only; the two-state
-    benchmark path samples dwell times directly.
-    """
-    if duration <= 0 or dt <= 0 or duration < dt:
-        raise ValueError("duration and dt must be positive with duration >= dt")
-    generator, _ = _as_rng(rng)
-    n = int(round(duration / dt))
-    times = np.arange(n) * dt
-    active = np.array([c.active for c in model.channels], dtype=bool)
-    rates = np.array([c.k_j for c in model.channels])
-    p_up = np.array([1.0 - math.exp(-c.gamma_plus * dt) for c in model.channels])
-    p_down = np.array([1.0 - math.exp(-c.gamma_minus * dt) for c in model.channels])
-    k_t = np.empty(n)
-    for i in range(n):
-        k_t[i] = model.k_0 + rates[active].sum()
-        if active.size:
-            flip_up = generator.random(active.size) < p_up
-            flip_down = generator.random(active.size) < p_down
-            active = np.where(active, ~flip_down, flip_up)
-    lum = model.k_I / (model.k_I + model.k_r + k_t)
-    return times, k_t, lum
-
-
 def write_trace(trace: BlinkTrace, path) -> None:
     """Write a trace as CSV (t_s,counts) plus a JSON metadata sidecar."""
     path = Path(path)
@@ -346,9 +238,17 @@ def write_trace(trace: BlinkTrace, path) -> None:
 
 
 def read_trace(path) -> BlinkTrace:
-    """Read a trace written by write_trace (sidecar JSON required)."""
+    """Read a trace written by write_trace (sidecar JSON required).
+
+    Counts must be finite, and the first and last t_s must equal row index
+    x bin_width_s from the sidecar, so gapped files and mismatched sidecars
+    are rejected.  Only those two t_s values are parsed.  Errors name the
+    line of the file.
+    """
     path = Path(path)
     counts = []
+    blank_lines = []
+    first_t = None
     with path.open() as fh:
         header = fh.readline().strip()
         if header != "t_s,counts":
@@ -356,6 +256,7 @@ def read_trace(path) -> BlinkTrace:
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
+                blank_lines.append(lineno)
                 continue
             fields = line.split(",")
             if len(fields) != 2:
@@ -364,11 +265,13 @@ def read_trace(path) -> BlinkTrace:
                 counts.append(float(fields[1]))
             except ValueError as exc:
                 raise ValueError(f"malformed trace row at line {lineno} of {path}") from exc
+            if first_t is None:
+                first_t = fields[0]
     meta = json.loads(path.with_suffix(".json").read_text())
     truth = None
     if meta.get("tau_on_s") is not None and meta.get("tau_off_s") is not None:
         truth = (meta["tau_on_s"], meta["tau_off_s"])
-    return BlinkTrace(
+    trace = BlinkTrace(
         bin_width=meta["bin_width_s"],
         counts=np.asarray(counts),
         mean_on_counts=meta.get("mean_on_counts", DEFAULT_MEAN_ON_COUNTS),
@@ -376,3 +279,28 @@ def read_trace(path) -> BlinkTrace:
         truth=truth,
         seed=meta.get("seed"),
     )
+
+    def line_of(index: int) -> int:
+        line = index + 2
+        for blank in blank_lines:
+            if blank <= line:
+                line += 1
+        return line
+
+    bad = np.flatnonzero(~np.isfinite(trace.counts))
+    if bad.size:
+        raise ValueError(f"non-finite count at line {line_of(bad[0])} of {path}")
+    # BlinkTrace refuses an empty trace, so fields holds the last data row
+    for index, text in ((0, first_t), (len(trace) - 1, fields[0])):
+        lineno = line_of(index)
+        try:
+            t = float(text)
+        except ValueError as exc:
+            raise ValueError(f"malformed trace row at line {lineno} of {path}") from exc
+        expected = index * trace.bin_width
+        if not abs(t - expected) <= 1e-6 * trace.bin_width:
+            raise ValueError(
+                f"t_s {text} at line {lineno} of {path} is not row {index} x bin_width_s "
+                f"= {expected!r}: the trace has gaps or the sidecar does not match"
+            )
+    return trace

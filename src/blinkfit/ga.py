@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,39 +72,24 @@ class GaConfig:
             raise ValueError("blend_weights must be non-negative and sum to 1")
 
     def to_json(self, path) -> None:
-        payload = {
-            "tau_range_s": list(self.tau_range),
-            "k_init": self.k_init,
-            "silhouette_threshold": self.silhouette_threshold,
-            "subset_fraction": self.subset_fraction,
-            "mutation_rate": self.mutation_rate,
-            "elitism_penalty_weight": self.elitism_penalty_weight,
-            "rolling_window": self.rolling_window,
-            "stability_rel_tol": self.stability_rel_tol,
-            "max_iterations": self.max_iterations,
-            "blend_weights": list(self.blend_weights),
-            "k_patience": self.k_patience,
-            "k_max": self.k_max,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
     @classmethod
     def from_json(cls, path) -> "GaConfig":
+        """Load a file written by to_json; keys are the field names.
+
+        A missing tau_range or an unknown key raises ValueError naming it.
+        """
         payload = json.loads(Path(path).read_text())
-        return cls(
-            tau_range=tuple(payload["tau_range_s"]),
-            k_init=payload.get("k_init", 3),
-            silhouette_threshold=payload.get("silhouette_threshold", 0.6),
-            subset_fraction=payload.get("subset_fraction", 0.7),
-            mutation_rate=payload.get("mutation_rate", 0.05),
-            elitism_penalty_weight=payload.get("elitism_penalty_weight", 0.5),
-            rolling_window=payload.get("rolling_window", 10),
-            stability_rel_tol=payload.get("stability_rel_tol", 0.02),
-            max_iterations=payload.get("max_iterations", 500),
-            blend_weights=tuple(payload.get("blend_weights", (0.4, 0.2, 0.2, 0.2))),
-            k_patience=payload.get("k_patience", 20),
-            k_max=payload.get("k_max", 8),
-        )
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: GaConfig must be a JSON object")
+        # JSON has no tuples; every list-valued field is a tuple field
+        values = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
+        try:
+            return cls(**values)
+        except TypeError as exc:  # unknown or missing key
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -208,6 +193,21 @@ def _assign(pts, centroids):
     return labels, d2[np.arange(pts.shape[0]), labels].sum()
 
 
+def _seize_empty(pts, centroids, labels) -> None:
+    """Give each empty cluster the point farthest from its own centroid.
+
+    Each empty cluster seizes a distinct point; centroids and labels are
+    updated in place.
+    """
+    dist_own = ((pts - centroids[labels]) ** 2).sum(axis=1)
+    for j in range(centroids.shape[0]):
+        if not (labels == j).any():
+            farthest = int(dist_own.argmax())
+            centroids[j] = pts[farthest]
+            labels[farthest] = j
+            dist_own[farthest] = -1.0
+
+
 def kmeans_cluster(
     points: np.ndarray,
     k: int,
@@ -242,15 +242,8 @@ def kmeans_cluster(
                 mask = labels == j
                 if mask.any():
                     new_centroids[j] = pts[mask].mean(axis=0)
-            # repair empty clusters before the next assignment; each seizes
-            # a distinct point (the one farthest from its own centroid)
-            dist_own = ((pts - new_centroids[labels]) ** 2).sum(axis=1)
-            for j in range(k):
-                if not (labels == j).any():
-                    farthest = int(dist_own.argmax())
-                    new_centroids[j] = pts[farthest]
-                    labels[farthest] = j
-                    dist_own[farthest] = -1.0
+            # repair empty clusters before the next assignment
+            _seize_empty(pts, new_centroids, labels)
             new_labels, phi_new = _assign(pts, new_centroids)
             moved = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
             reassigned = float((new_labels != labels).mean())
@@ -261,13 +254,7 @@ def kmeans_cluster(
         # duplicate points can leave assignment ties that starve a cluster
         # for good; a final seize pass guarantees every cluster is occupied
         if len(np.unique(labels)) < k:
-            dist_own = ((pts - centroids[labels]) ** 2).sum(axis=1)
-            for j in range(k):
-                if not (labels == j).any():
-                    farthest = int(dist_own.argmax())
-                    centroids[j] = pts[farthest]
-                    labels[farthest] = j
-                    dist_own[farthest] = -1.0
+            _seize_empty(pts, centroids, labels)
             history.append(float(((pts - centroids[labels]) ** 2).sum()))
         result = Clustering(
             k=k,
@@ -558,20 +545,12 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
         converged=True,
         diagnostics={
             "termination": termination,
-            "iterations": log_rows[-1][0] + 1 if log_rows else config.max_iterations,
+            "iterations": (
+                log_rows[-1][0] + 1 if termination == "stability" else config.max_iterations
+            ),
             "accepted": len(estimates) - 1,  # excludes the heuristic seed
             "k_final": k,
             "heuristic": tau0,
             "estimate_log": log_rows,
         },
     )
-
-
-def write_estimate_log(est: RateEstimate, path) -> None:
-    """Dump a GA estimate log as CSV (iteration,tau_s,silhouette,k)."""
-    rows = est.diagnostics.get("estimate_log", [])
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write("iteration,tau_s,silhouette,k\n")
-        for iteration, tau, sil, k in rows:
-            fh.write(f"{iteration},{repr(float(tau))},{repr(float(sil))},{k}\n")

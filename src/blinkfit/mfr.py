@@ -200,9 +200,16 @@ def estimate(
 ) -> RateEstimate:
     """Featurize a histogram and predict its lifetime with the model.
 
-    Warns when the trace duration differs from the duration the model was
-    trained on (raw counts scale with trace length).
+    Raises ValueError when the histogram's bin width differs from the
+    model's (feature i counts dwells of i bins).  Warns when the trace
+    duration differs from the duration the model was trained on (raw
+    counts scale with trace length).
     """
+    if model.bin_width > 0 and not math.isclose(hist.bin_width, model.bin_width, rel_tol=1e-9):
+        raise ValueError(
+            f"model bin width {model.bin_width} s differs from "
+            f"trace bin width {hist.bin_width} s"
+        )
     if trace_duration is not None and model.trained_duration > 0:
         if not math.isclose(trace_duration, model.trained_duration, rel_tol=1e-6):
             warnings.warn(

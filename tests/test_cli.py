@@ -112,6 +112,56 @@ class TestAnalyze:
         assert reports[0] == reports[1]
 
 
+@pytest.fixture(scope="module")
+def trace_2s(tmp_path_factory):
+    path = tmp_path_factory.mktemp("short") / "t2.csv"
+    assert run(["simulate", "--duration", "2s", "--seed", "0", "--out", str(path)]) == 0
+    return path
+
+
+class TestSharedPipeline:
+    """analyze applies the bench's rules, through bench.analyze_trace."""
+
+    def test_lm_sanity_rule_rejects_off_state(self, trace_2s, tmp_path):
+        # the off-state fit diverges (tau far beyond 100x the mean dwell)
+        report = tmp_path / "r.json"
+        code = run(["analyze", "--trace", str(trace_2s), "--method", "lm", "--report", str(report)])
+        assert code == 2
+        payload = json.loads(report.read_text())
+        assert payload["off_converged"] is False
+        assert payload["on_converged"] is True
+
+    @pytest.mark.parametrize("method", ["lm", "ga"])
+    def test_report_matches_bench_function(self, trace_2s, tmp_path, method):
+        from blinkfit.bench import analyze_trace
+        from blinkfit.cli import DEFAULT_SEED
+        from blinkfit.emitter import read_trace
+
+        report = tmp_path / "r.json"
+        run(["analyze", "--trace", str(trace_2s), "--method", method, "--report", str(report)])
+        payload = json.loads(report.read_text())
+        threshold, estimates = analyze_trace(read_trace(trace_2s), method, DEFAULT_SEED)
+        assert payload["threshold"] == threshold
+        for state, est in estimates.items():
+            assert payload[f"tau_{state}_s"] == est.tau_hat
+            assert payload[f"{state}_converged"] == est.converged
+
+    def test_ga_config_unknown_key(self, trace_2s, tmp_path, capsys):
+        cfg = tmp_path / "ga.json"
+        cfg.write_text(json.dumps({"tau_range_s": [1e-3, 0.1]}))
+        code = run(["analyze", "--trace", str(trace_2s), "--method", "ga", "--ga-config", str(cfg)])
+        assert code == 1
+        assert "tau_range_s" in capsys.readouterr().err
+
+    def test_mfr_bin_width_mismatch(self, trace_2s, tmp_path, capsys):
+        base = tmp_path / "model"
+        train = ["train-mfr", "--count", "2", "--duration", "2s", "--bin-width", "0.5ms"]
+        assert run(train + ["--out", str(base)]) == 0
+        code = run(["analyze", "--trace", str(trace_2s), "--method", "mfr", "--model", str(base)])
+        assert code == 2
+        assert "bin width" in capsys.readouterr().err
+
+
 class TestTrainMfr:
     def test_writes_two_models(self, tmp_path, capsys):
         base = tmp_path / "model"

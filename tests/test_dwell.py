@@ -11,8 +11,6 @@ from blinkfit.dwell import (
     dwell_histogram,
     empirical_density,
     mean_dwell,
-    read_histograms,
-    write_histograms,
 )
 from blinkfit.emitter import BlinkTrace, EmitterModel, generate_trace
 from blinkfit.errors import EmptyHistogramError, NoSeparationError
@@ -185,15 +183,3 @@ class TestMeanDwell:
         trace = generate_trace(model, 500.0, 0.25e-3, "poisson", rng=19)
         hist_on, _ = dwell_histogram(binarize(trace, auto_threshold(trace)))
         assert mean_dwell(hist_on) == pytest.approx(15e-3, rel=0.03)
-
-
-class TestHistogramIO:
-    def test_roundtrip(self, tmp_path):
-        h_on = hist("on", {1: 4, 7: 2})
-        h_off = hist("off", {2: 5})
-        path = tmp_path / "hist.csv"
-        write_histograms(path, h_on, h_off)
-        back_on, back_off = read_histograms(path, 1e-3)
-        np.testing.assert_array_equal(back_on.indices, h_on.indices)
-        np.testing.assert_array_equal(back_on.occurrences, h_on.occurrences)
-        np.testing.assert_array_equal(back_off.indices, h_off.indices)

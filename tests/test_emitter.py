@@ -1,82 +1,22 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from blinkfit.dwell import binarize
 from blinkfit.emitter import (
     DwellDistribution,
     EmitterModel,
-    TrapChannel,
     generate_trace,
-    intensity,
     read_trace,
     sample_dwell,
-    survival_prob,
-    switching_prob,
-    total_trap_rate,
     write_trace,
 )
 
 
 def make_model(tau_on=15e-3, tau_off=45e-3, **kw):
     return EmitterModel(tau_on=tau_on, tau_off=tau_off, **kw)
-
-
-class TestTotalTrapRate:
-    def test_background_always_active(self):
-        channels = [TrapChannel(k_j=3.0, active=False), TrapChannel(k_j=7.0, active=False)]
-        assert total_trap_rate(channels, 2.0) == 2.0
-
-    def test_sums_active_channels_only(self):
-        channels = [TrapChannel(k_j=3.0, active=True), TrapChannel(k_j=5.0, active=False)]
-        assert total_trap_rate(channels, 0.0) == 3.0
-
-    def test_sum_with_background(self):
-        channels = [TrapChannel(k_j=3.0, active=True), TrapChannel(k_j=5.0, active=True)]
-        assert total_trap_rate(channels, 1.0) == 9.0
-
-
-class TestIntensity:
-    def test_no_trapping_is_maximal(self):
-        assert intensity(1.0, 1.0, 0.0) == pytest.approx(0.5)
-
-    def test_equal_rates(self):
-        assert intensity(1.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
-
-    def test_arithmetic(self):
-        assert intensity(2.0, 1.0, 7.0) == pytest.approx(0.2)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            intensity(0.0, 0.0, 0.0)
-
-    @given(
-        st.floats(0.1, 1e6),
-        st.floats(0.1, 1e6),
-        st.floats(0.0, 1e6),
-        st.floats(0.1, 1e6),
-    )
-    def test_strictly_decreasing_in_trap_rate(self, k_i, k_r, k_t, dk):
-        assert intensity(k_i, k_r, k_t + dk) < intensity(k_i, k_r, k_t)
-
-
-class TestSurvivalSwitching:
-    def test_zero_time(self):
-        assert survival_prob(15e-3, 0.0) == 1.0
-        assert switching_prob(15e-3, 0.0) == 0.0
-
-    def test_one_lifetime(self):
-        assert survival_prob(15e-3, 15e-3) == pytest.approx(math.exp(-1.0))
-
-    def test_two_lifetimes(self):
-        assert survival_prob(45e-3, 90e-3) == pytest.approx(math.exp(-2.0))
-
-    @given(st.floats(1e-6, 1e3), st.floats(0.0, 1e3))
-    def test_pair_sums_to_one(self, tau, t):
-        assert survival_prob(tau, t) + switching_prob(tau, t) == pytest.approx(1.0)
 
 
 class TestSampleDwell:
@@ -159,38 +99,6 @@ class TestGenerateTrace:
             generate_trace(make_model(), 1.0, 1e-3, "gaussian", rng=1)
 
 
-class TestChannelActivity:
-    def test_stationary_activity_fraction(self):
-        from blinkfit.emitter import simulate_channel_activity
-
-        # one channel flipping at balanced rates: active half the time,
-        # so k_t averages k_0 + k_j/2
-        channel = TrapChannel(k_j=4.0, gamma_plus=50.0, gamma_minus=50.0, active=False)
-        model = make_model(tau_on=1.0, tau_off=1.0, k_0=1.0, channels=(channel,))
-        _, k_t, lum = simulate_channel_activity(model, 200.0, 1e-3, rng=3)
-        assert k_t.mean() == pytest.approx(3.0, rel=0.05)
-        assert set(np.unique(k_t)) == {1.0, 5.0}
-        # intensity matches the closed form bin by bin
-        np.testing.assert_allclose(lum, model.k_I / (model.k_I + model.k_r + k_t))
-
-    def test_always_active_background(self):
-        from blinkfit.emitter import simulate_channel_activity
-
-        model = make_model(k_0=2.0)
-        _, k_t, lum = simulate_channel_activity(model, 0.1, 1e-3, rng=1)
-        np.testing.assert_array_equal(k_t, 2.0)
-        assert np.all(lum < intensity(model.k_I, model.k_r, 0.0))
-
-    def test_determinism(self):
-        from blinkfit.emitter import simulate_channel_activity
-
-        channel = TrapChannel(k_j=1.0, gamma_plus=10.0, gamma_minus=5.0)
-        model = make_model(channels=(channel,))
-        a = simulate_channel_activity(model, 1.0, 1e-3, rng=9)
-        b = simulate_channel_activity(model, 1.0, 1e-3, rng=9)
-        np.testing.assert_array_equal(a[1], b[1])
-
-
 class TestModelValidation:
     def test_positive_lifetimes_required(self):
         with pytest.raises(ValueError):
@@ -199,14 +107,6 @@ class TestModelValidation:
     def test_power_law_exponent_bound(self):
         with pytest.raises(ValueError):
             DwellDistribution(kind="power_law", m_on=0.9, m_off=2.0, tau_min=1e-3)
-
-    def test_warns_when_traps_not_slow(self):
-        with pytest.warns(UserWarning):
-            EmitterModel(tau_on=1.0, tau_off=1.0, k_I=10.0, k_r=10.0, k_0=5.0)
-
-    def test_negative_channel_rate_rejected(self):
-        with pytest.raises(ValueError):
-            TrapChannel(k_j=-1.0)
 
 
 class TestTraceIO:
@@ -231,4 +131,27 @@ class TestTraceIO:
         path.write_text("t_s,counts\n0.0,12\n0.001,oops\n")
         path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
         with pytest.raises(ValueError, match="line 3"):
+            read_trace(path)
+
+    def test_non_finite_count_reports_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t_s,counts\n0.0,12\n\n0.001,nan\n0.002,3\n")
+        path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        with pytest.raises(ValueError, match="non-finite count at line 4"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "rows, bin_width, line",
+        [
+            ("0.0,1\n0.001,2\n0.003,3\n", 0.001, 4),  # a gap: last row is not row 2
+            ("0.0,1\n0.001,2\n0.002,3\n", 0.002, 4),  # sidecar bin width does not match
+            ("0.005,1\n0.006,2\n0.007,3\n", 0.001, 2),  # time axis does not start at 0
+        ],
+        ids=["gap", "sidecar-bin-width", "offset-start"],
+    )
+    def test_time_axis_must_match_sidecar(self, tmp_path, rows, bin_width, line):
+        path = tmp_path / "gapped.csv"
+        path.write_text("t_s,counts\n" + rows)
+        path.with_suffix(".json").write_text(json.dumps({"bin_width_s": bin_width}))
+        with pytest.raises(ValueError, match=f"line {line} "):
             read_trace(path)

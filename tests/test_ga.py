@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -369,23 +371,65 @@ class TestRunGa:
         with pytest.raises(InsufficientDataError):
             run_ga(h, GaConfig(tau_range=(1e-3, 100e-3)), rng=0)
 
+    def test_iterations_count_generations_run(self, monkeypatch):
+        # a max_iterations exit after accepting estimates reports the
+        # generations that ran, not the last accepting one + 1
+        from blinkfit import ga
+
+        calls = []
+        original = ga.silhouette
+
+        def counted(clustering):
+            calls.append(clustering)
+            return original(clustering)
+
+        monkeypatch.setattr(ga, "silhouette", counted)
+        cfg = GaConfig(tau_range=(1e-3, 100e-3), silhouette_threshold=0.3, max_iterations=40)
+        est = run_ga(self.make_hist(duration=20.0), cfg, rng=1)
+        diag = est.diagnostics
+        assert diag["termination"] == "max_iterations"
+        assert diag["accepted"] >= 1
+        assert diag["estimate_log"][-1][0] + 1 < cfg.max_iterations
+        assert len(calls) == 2 * cfg.max_iterations  # two individuals per generation
+        assert diag["iterations"] == cfg.max_iterations
+
     def test_config_roundtrip(self, tmp_path):
-        cfg = GaConfig(tau_range=(1e-3, 100e-3), k_init=4, mutation_rate=0.1)
+        cfg = GaConfig(
+            tau_range=(2e-3, 90e-3),
+            k_init=4,
+            silhouette_threshold=0.55,
+            subset_fraction=0.6,
+            mutation_rate=0.1,
+            elitism_penalty_weight=0.4,
+            rolling_window=12,
+            stability_rel_tol=0.03,
+            max_iterations=300,
+            blend_weights=(0.25, 0.25, 0.25, 0.25),
+            k_patience=15,
+            k_max=6,
+            reassignment_tol=0.01,
+            movement_tol=1e-6,
+            kmeans_max_iter=40,
+        )
+        defaults = GaConfig(tau_range=(1e-3, 100e-3))
+        names = [f.name for f in dataclasses.fields(GaConfig)]
+        assert len(names) == 15
+        assert all(getattr(cfg, n) != getattr(defaults, n) for n in names)
         path = tmp_path / "ga.json"
         cfg.to_json(path)
+        assert sorted(json.loads(path.read_text())) == sorted(names)
         back = GaConfig.from_json(path)
         assert back == cfg
+        assert isinstance(back.tau_range, tuple) and isinstance(back.blend_weights, tuple)
 
-    def test_estimate_log_csv(self, tmp_path):
-        from blinkfit.ga import write_estimate_log
-
-        h = self.make_hist(duration=50.0)
-        est = run_ga(h, GaConfig(tau_range=(1e-3, 100e-3), max_iterations=150), rng=3)
-        path = tmp_path / "log.csv"
-        write_estimate_log(est, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,tau_s,silhouette,k"
-        assert len(lines) == len(est.diagnostics["estimate_log"]) + 1
+    def test_config_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "ga.json"
+        path.write_text(json.dumps({"tau_range": [1e-3, 0.1], "mutaton_rate": 0.1}))
+        with pytest.raises(ValueError, match="mutaton_rate"):
+            GaConfig.from_json(path)
+        path.write_text(json.dumps({"k_init": 3}))
+        with pytest.raises(ValueError, match="tau_range"):
+            GaConfig.from_json(path)
 
 
 class TestGaConfig:

@@ -238,3 +238,11 @@ class TestCorpus:
         h = hist({1: 2, 4: 1})
         with pytest.warns(UserWarning, match="trained on"):
             estimate(model, h, trace_duration=2.0)
+
+    def test_bin_width_mismatch_rejected(self):
+        from blinkfit.mfr import estimate
+
+        on, _ = generate_training_corpus((5e-3, 50e-3), 6, 0.5, bin_width=1e-3, rng=3)
+        model = train_model(on, bin_width=1e-3, trained_duration=0.5)
+        with pytest.raises(ValueError, match="bin width"):
+            estimate(model, hist({1: 2, 4: 1}, bin_width=0.5e-3))
