@@ -51,7 +51,6 @@ from .errors import (
 from .estimate import RateEstimate
 from .ga import (
     GaConfig,
-    Individual,
     crossover_clone_exchange,
     extract_tau,
     heuristic_estimate,

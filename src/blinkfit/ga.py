@@ -1,13 +1,14 @@
 """Unsupervised genetic algorithm over K-means++ clusterings.
 
 Individuals are random subsets of a dwell histogram's (duration,
-occurrences) pairs.  Each generation the two live individuals are
-clustered (K-means++ seeding, Lloyd refinement), scored by mean silhouette
-minus an elitism penalty, and either yield a lifetime estimate from the
-tightest cluster of the winner or breed the next pair by clone exchange
-and mutation.  Accepted estimates accumulate until their rolling window
-stabilizes; an exhausted iteration budget instead returns a weighted blend
-of the estimate log.
+occurrences) pairs, held as sorted row indices into hist.pairs().  Each
+generation the two live individuals are clustered (K-means++ seeding,
+Lloyd refinement), scored by mean silhouette minus an elitism penalty, and
+either yield a lifetime estimate from the tightest cluster of the winner
+or are replaced by two independently mutated clones of the winner.
+Accepted estimates accumulate until their rolling window stabilizes; an
+exhausted iteration budget instead returns a weighted blend of the
+estimate log.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class GaConfig:
             raise ValueError("elitism_penalty_weight must be non-negative")
         if self.rolling_window < 2:
             raise ValueError("rolling_window must be at least 2")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if min(self.blend_weights) < 0 or not math.isclose(sum(self.blend_weights), 1.0):
             raise ValueError("blend_weights must be non-negative and sum to 1")
 
@@ -90,23 +93,6 @@ class GaConfig:
             return cls(**values)
         except TypeError as exc:  # unknown or missing key
             raise ValueError(f"{path}: {exc}") from exc
-
-
-@dataclass(eq=False)
-class Individual:
-    """A subset of histogram pairs, kept sorted by duration."""
-
-    points: np.ndarray  # (m, 2) integer (duration_index, occurrences) rows
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=int)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be an (m, 2) array")
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        self.points = pts[order]
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass(eq=False)
@@ -151,14 +137,13 @@ def heuristic_estimate(hist: DwellHistogram, tau_range: tuple[float, float]) -> 
 
 def spawn_individual(
     hist: DwellHistogram, subset_fraction: float, rng: np.random.Generator
-) -> Individual:
-    """Sample ceil(fraction * |pairs|) distinct pairs from the histogram."""
+) -> np.ndarray:
+    """Sorted indices of ceil(fraction * |pairs|) distinct rows of hist.pairs()."""
     m = len(hist)
     if m == 0:
         raise InsufficientDataError("cannot spawn an individual from an empty histogram")
     size = int(math.ceil(subset_fraction * m))
-    idx = rng.choice(m, size=size, replace=False)
-    return Individual(hist.pairs()[np.sort(idx)])
+    return np.sort(rng.choice(m, size=size, replace=False))
 
 
 def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -308,44 +293,43 @@ def silhouette(clustering: Clustering) -> SilhouetteReport:
 
 
 def crossover_clone_exchange(
-    individual: Individual, rng: np.random.Generator
-) -> tuple[Individual, Individual]:
-    """Clone the individual twice and swap a random half of the slots.
+    individual: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clone the individual twice.
 
-    The multiset union of the children always equals that of the two
-    clones; no new points are invented here (that is mutation's job).
+    Swapping slots between two identical clones leaves both equal to the
+    parent, so the children are two copies of it; only mutation makes
+    them differ.
     """
     m = len(individual)
-    a = individual.points.copy()
-    b = individual.points.copy()
-    n_swap = m // 2
-    if n_swap >= 1:
-        slots = rng.choice(m, size=n_swap, replace=False)
-        a[slots], b[slots] = b[slots].copy(), a[slots].copy()
-    return Individual(a), Individual(b)
+    if m >= 2:
+        # the exchange's slot draw is kept although it changes nothing:
+        # dropping it would shift every later draw, and so every seeded result
+        rng.choice(m, size=m // 2, replace=False)
+    return individual.copy(), individual.copy()
 
 
 def mutate(
-    individual: Individual,
+    individual: np.ndarray,
     hist: DwellHistogram,
     mutation_rate: float,
     rng: np.random.Generator,
-) -> Individual:
-    """Replace each point, with probability mutation_rate, by an unused pair.
+) -> np.ndarray:
+    """Replace each index, with probability mutation_rate, by an unused one.
 
-    Replacements are drawn uniformly from the histogram pairs not already
-    present in the individual; when none remain the point is kept.
+    Replacements are drawn uniformly from the rows of hist.pairs() not
+    already in the individual; when none remain the index is kept.
     """
-    pts = individual.points.copy()
-    present = {tuple(row) for row in pts}
-    pool = [tuple(row) for row in hist.pairs() if tuple(row) not in present]
-    flags = rng.random(len(pts)) < mutation_rate
+    used = np.zeros(len(hist), dtype=bool)
+    used[individual] = True
+    pool = np.flatnonzero(~used).tolist()
+    out = individual.copy()
+    flags = rng.random(len(out)) < mutation_rate
     for slot in np.flatnonzero(flags):
         if not pool:
             break
-        j = int(rng.integers(len(pool)))
-        pts[slot] = pool.pop(j)
-    return Individual(pts)
+        out[slot] = pool.pop(int(rng.integers(len(pool))))
+    return np.sort(out)
 
 
 def extract_tau(points: np.ndarray, bin_width: float) -> float:
@@ -404,7 +388,7 @@ def _cluster_tightness(clustering: Clustering) -> np.ndarray:
     return out
 
 
-def _candidate_tau(individual: Individual, clustering: Clustering, bin_width: float):
+def _candidate_tau(points: np.ndarray, clustering: Clustering, bin_width: float):
     """Extract a lifetime from the tightest extractable cluster.
 
     Clusters are tried in order of increasing mean intra-cluster distance
@@ -417,7 +401,7 @@ def _candidate_tau(individual: Individual, clustering: Clustering, bin_width: fl
         if members.size < 2:
             continue
         try:
-            return extract_tau(individual.points[members], bin_width), int(j)
+            return extract_tau(points[members], bin_width), int(j)
         except (DegenerateClusterError, ValueError):
             continue
     return None, None
@@ -444,15 +428,15 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     heuristic seed anchors the penalty before the first acceptance).  A
     winner above the silhouette threshold contributes the lifetime of its
     tightest cluster to the estimate log and the population is respawned;
-    otherwise the winner is cloned, the clones exchange points and both
-    mutants form the next generation.  After every k_patience consecutive
-    sub-threshold generations the cluster count steps through
-    [2, min(k_max, subset size)].  Returns the rolling median once the last
+    otherwise two independently mutated clones of the winner form the next
+    generation.  After every k_patience consecutive sub-threshold
+    generations the cluster count steps through [2, min(k_max, subset
+    size)].  Returns the rolling median once the last
     rolling_window accepted estimates agree to stability_rel_tol, or the
     blended estimate log at the iteration cap.  The result is always
     clamped to tau_range.
     """
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    generator = np.random.default_rng(rng)
     m = len(hist)
     subset_size = int(math.ceil(config.subset_fraction * m))
     if m < 2 or subset_size < 2:
@@ -464,9 +448,9 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     # from the first generation and keeps the blend defined when clusters
     # are too count-degenerate to extract from (scarce-data regime).
     tau0 = heuristic_estimate(hist, config.tau_range)
-    anchor = [tau0]
     estimates: list[float] = [tau0]
     log_rows: list[tuple[int, float, float, int]] = []
+    pairs = hist.pairs()
 
     k = max(2, min(config.k_init, config.k_max, subset_size))
     streak = 0
@@ -480,8 +464,9 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     for iteration in range(config.max_iterations):
         scored = []
         for ind in individuals:
+            points = pairs[ind]
             clustering = kmeans_cluster(
-                _normalize(ind.points),
+                _normalize(points),
                 k,
                 generator,
                 reassignment_tol=config.reassignment_tol,
@@ -489,13 +474,13 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
                 max_iter=config.kmeans_max_iter,
             )
             sil = silhouette(clustering).mean_score
-            tau_c, _ = _candidate_tau(ind, clustering, hist.bin_width)
+            tau_c, _ = _candidate_tau(points, clustering, hist.bin_width)
             if tau_c is None:
                 # no usable cluster: worst-case penalty keeps such solutions
                 # from outcompeting extractable ones
                 score = sil - config.elitism_penalty_weight
             else:
-                ref = float(np.mean(anchor[-config.rolling_window :]))
+                ref = float(np.mean(estimates[-config.rolling_window :]))
                 score = sil - config.elitism_penalty_weight * abs(tau_c - ref) / ref
             scored.append((score, sil, tau_c, ind))
         top = max(range(2), key=lambda i: scored[i][0])
@@ -503,7 +488,6 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
 
         if score > config.silhouette_threshold and tau_c is not None:
             estimates.append(tau_c)
-            anchor.append(tau_c)
             log_rows.append((iteration, tau_c, sil, k))
             streak = 0
             if len(estimates) >= config.rolling_window:
@@ -545,9 +529,7 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
         converged=True,
         diagnostics={
             "termination": termination,
-            "iterations": (
-                log_rows[-1][0] + 1 if termination == "stability" else config.max_iterations
-            ),
+            "iterations": iteration + 1,
             "accepted": len(estimates) - 1,  # excludes the heuristic seed
             "k_final": k,
             "heuristic": tau0,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -106,25 +106,23 @@ class MfrModel:
             raise ValueError("weights must be finite")
 
     def save(self, path) -> None:
-        payload = {
-            "n": self.n,
-            "bin_width_s": self.bin_width,
-            "trained_duration_s": self.trained_duration,
-            "ridge_lambda": self.ridge_lambda,
-            "weights": self.weights.tolist(),
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["weights"] = self.weights.tolist()
         Path(path).write_text(json.dumps(payload) + "\n")
 
     @classmethod
     def load(cls, path) -> "MfrModel":
+        """Load a file written by save; keys are the field names.
+
+        A missing or unknown key raises ValueError naming it.
+        """
         payload = json.loads(Path(path).read_text())
-        return cls(
-            weights=np.asarray(payload["weights"]),
-            n=payload["n"],
-            bin_width=payload["bin_width_s"],
-            trained_duration=payload["trained_duration_s"],
-            ridge_lambda=payload["ridge_lambda"],
-        )
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: MfrModel must be a JSON object")
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # unknown or missing key
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def default_feature_count(tau_hi: float, bin_width: float) -> int:
@@ -263,7 +261,7 @@ def generate_training_corpus(
         raise ValueError("tau_range must satisfy 0 < lo < hi")
     if N < 1:
         raise ValueError("need at least one training set")
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    generator = np.random.default_rng(rng)
     if n is None:
         n = default_feature_count(hi, bin_width)
 

@@ -161,6 +161,21 @@ class TestSharedPipeline:
         assert code == 2
         assert "bin width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, key", [("drop", "n"), ("add", "bin_width_s")])
+    def test_mfr_model_bad_key(self, trace_2s, tmp_path, capsys, edit, key):
+        base = tmp_path / "model"
+        assert run(["train-mfr", "--count", "2", "--duration", "2s", "--out", str(base)]) == 0
+        on = tmp_path / "model_on.json"
+        payload = json.loads(on.read_text())
+        if edit == "drop":
+            del payload[key]
+        else:
+            payload[key] = 1e-3
+        on.write_text(json.dumps(payload))
+        code = run(["analyze", "--trace", str(trace_2s), "--method", "mfr", "--model", str(base)])
+        assert code == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
 
 class TestTrainMfr:
     def test_writes_two_models(self, tmp_path, capsys):
@@ -177,7 +192,7 @@ class TestTrainMfr:
         assert code == 0
         for state in ("on", "off"):
             payload = json.loads((tmp_path / f"model_{state}.json").read_text())
-            assert payload["trained_duration_s"] == pytest.approx(0.2)
+            assert payload["trained_duration"] == pytest.approx(0.2)
             assert len(payload["weights"]) == payload["n"] + 1
 
     def test_analyze_with_trained_model(self, tmp_path, trace_200s):

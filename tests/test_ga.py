@@ -77,18 +77,19 @@ class TestSpawn:
         h = hist({i: 1 for i in range(1, 11)})
         ind = spawn_individual(h, 0.7, np.random.default_rng(0))
         assert len(ind) == 7
-        assert len({tuple(p) for p in ind.points}) == 7
+        assert np.all(np.diff(ind) > 0)  # sorted and distinct
+        assert 0 <= ind.min() and ind.max() < len(h)
 
     def test_full_fraction(self):
         h = hist({i: 1 for i in range(1, 11)})
         ind = spawn_individual(h, 1.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(ind.points, h.pairs())
+        np.testing.assert_array_equal(ind, np.arange(len(h)))
 
     def test_seeds_differ(self):
         h = hist({i: 1 for i in range(1, 11)})
         a = spawn_individual(h, 0.7, np.random.default_rng(1))
         b = spawn_individual(h, 0.7, np.random.default_rng(2))
-        assert not np.array_equal(a.points, b.points)
+        assert not np.array_equal(a, b)
 
     def test_empty_histogram(self):
         h = DwellHistogram("on", 1e-3, np.array([], dtype=int), np.array([], dtype=int))
@@ -245,34 +246,43 @@ class TestSilhouette:
 
 
 class TestCrossoverMutate:
-    def test_clone_exchange_conserves_points(self):
-        h = hist({i: i + 1 for i in range(1, 9)})
-        ind = spawn_individual(h, 1.0, np.random.default_rng(0))
+    def test_clones_are_parent_copies_and_mutants_are_new(self):
+        h = hist({i: i + 1 for i in range(1, 41)})
+        ind = spawn_individual(h, 0.5, np.random.default_rng(0))
         for seed in range(20):
             a, b = crossover_clone_exchange(ind, np.random.default_rng(seed))
-            union = sorted(map(tuple, np.vstack([a.points, b.points])))
-            expected = sorted(map(tuple, np.vstack([ind.points, ind.points])))
-            assert union == expected
+            np.testing.assert_array_equal(a, ind)
+            np.testing.assert_array_equal(b, ind)
+            assert not np.shares_memory(a, ind)
+            assert not np.shares_memory(b, ind)
+            assert not np.shares_memory(a, b)
+            out = mutate(a, h, 0.5, np.random.default_rng(seed))
+            np.testing.assert_array_equal(a, ind)  # mutate leaves its input alone
+            assert len(out) == len(ind)
+            assert np.all(np.diff(out) > 0)  # sorted and distinct
+            assert 0 <= out.min() and out.max() < len(h)
+            # the pool (20 unused rows) outlasts the flagged slots, so every
+            # flagged slot must bring in an index the parent did not hold
+            flagged = int((np.random.default_rng(seed).random(len(ind)) < 0.5).sum())
+            assert len(np.setdiff1d(out, ind)) == flagged
 
     def test_single_point_individual(self):
-        from blinkfit.ga import Individual
-
-        ind = Individual(np.array([[3, 5]]))
+        ind = np.array([3])
         a, b = crossover_clone_exchange(ind, np.random.default_rng(0))
-        np.testing.assert_array_equal(a.points, ind.points)
-        np.testing.assert_array_equal(b.points, ind.points)
+        np.testing.assert_array_equal(a, ind)
+        np.testing.assert_array_equal(b, ind)
 
     def test_mutate_zero_rate_is_identity(self):
         h = hist({i: 1 for i in range(1, 11)})
         ind = spawn_individual(h, 0.7, np.random.default_rng(3))
         out = mutate(ind, h, 0.0, np.random.default_rng(4))
-        np.testing.assert_array_equal(out.points, ind.points)
+        np.testing.assert_array_equal(out, ind)
 
     def test_mutate_saturated_histogram_is_identity(self):
         h = hist({i: 1 for i in range(1, 6)})
         ind = spawn_individual(h, 1.0, np.random.default_rng(0))
         out = mutate(ind, h, 1.0, np.random.default_rng(1))
-        np.testing.assert_array_equal(out.points, ind.points)
+        np.testing.assert_array_equal(out, ind)
 
     def test_mutate_binomial_mean(self):
         h = hist({i: 1 for i in range(1, 201)})
@@ -281,18 +291,15 @@ class TestCrossoverMutate:
         runs = 2000
         for seed in range(runs):
             out = mutate(ind, h, 0.05, np.random.default_rng(seed))
-            before = {tuple(p) for p in ind.points}
-            after = {tuple(p) for p in out.points}
-            total += len(after - before)
+            total += len(np.setdiff1d(out, ind))
         assert total / runs == pytest.approx(5.0, abs=0.5)
 
     def test_mutated_points_stay_in_histogram(self):
         h = hist({i: 2 * i for i in range(1, 20)})
         ind = spawn_individual(h, 0.6, np.random.default_rng(1))
         out = mutate(ind, h, 0.8, np.random.default_rng(2))
-        pool = {tuple(p) for p in h.pairs()}
-        assert {tuple(p) for p in out.points} <= pool
-        assert len({tuple(p) for p in out.points}) == len(ind)
+        assert 0 <= out.min() and out.max() < len(h)
+        assert len(np.unique(out)) == len(ind)
 
 
 class TestExtractTau:
@@ -440,3 +447,6 @@ class TestGaConfig:
             GaConfig(tau_range=(1e-3, 2e-3), k_init=1)
         with pytest.raises(ValueError):
             GaConfig(tau_range=(1e-3, 2e-3), blend_weights=(0.5, 0.5, 0.5, 0.5))
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="max_iterations"):
+                GaConfig(tau_range=(1e-3, 0.1), max_iterations=bad)
