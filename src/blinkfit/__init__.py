@@ -31,7 +31,6 @@ from .dwell import (
 )
 from .emitter import (
     BlinkTrace,
-    DwellDistribution,
     EmitterModel,
     generate_trace,
     read_trace,
@@ -61,15 +60,12 @@ from .ga import (
     silhouette,
     spawn_individual,
 )
-from .levmar import ExpFitParams, LmConfig, fit_exponential, lm_solve
+from .levmar import fit_exponential, lm_solve
 from .mfr import (
-    FeatureVector,
     MfrModel,
     TrainingSet,
     featurize,
     generate_training_corpus,
-    predict,
-    train,
     train_model,
 )
 

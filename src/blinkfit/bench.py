@@ -47,8 +47,14 @@ class Scenario:
     base_seed: int = 1234
 
     def __post_init__(self):
+        if not (self.tau_on > 0 and self.tau_off > 0 and self.bin_width > 0):
+            raise ValueError("tau_on, tau_off and bin_width must be positive")
         if list(self.durations) != sorted(self.durations):
             raise ValueError("durations must be sorted ascending")
+        if any(d < self.bin_width for d in self.durations):
+            raise ValueError("every duration must cover at least one bin")
+        if self.noise not in (None, "poisson"):
+            raise ValueError("noise must be null or 'poisson'")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be at least 1")
 

@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_time(text: str) -> float:
-    """Parse a duration with optional ms/s suffix into seconds."""
+    """Parse a positive duration with optional ms/s suffix into seconds."""
     match = _TIME_RE.match(text)
     if not match:
         raise argparse.ArgumentTypeError(f"cannot parse time value {text!r}")
@@ -53,6 +53,9 @@ def parse_time(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse time value {text!r}") from exc
     if match.group(2) == "ms":
         value *= 1e-3
+    # every time flag is a lifetime, a duration or a bin width
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"time value {text!r} must be positive")
     return value
 
 
@@ -150,8 +153,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_train_mfr(args) -> int:
-    if not 0 < args.tau_min < args.tau_max:
-        return _Parser._fail("need 0 < --tau-min < --tau-max")
+    if not args.tau_min < args.tau_max:
+        return _Parser._fail("need --tau-min < --tau-max")
+    if args.duration < args.bin_width:
+        return _Parser._fail("duration must cover at least one bin")
     if args.count < 1:
         return _Parser._fail("--count must be at least 1")
     if args.count < 5:
@@ -184,9 +189,11 @@ def _load_scenario(spec: str, trials: int | None) -> bench_mod.Scenario:
     if spec == "fig2":
         return bench_mod.fig2_scenario(**overrides)
     payload = json.loads(Path(spec).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("scenario must be a JSON object")
+    # JSON has no tuples; every list-valued field is a tuple field
+    payload = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
     payload.update(overrides)
-    if "durations" in payload:
-        payload["durations"] = tuple(payload["durations"])
     return bench_mod.Scenario(**payload)
 
 

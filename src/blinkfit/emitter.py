@@ -2,16 +2,16 @@
 
 An emitter alternates between an on state (fast excitation/radiative
 cycling, high photocounts) and an off state (carrier trapped, low
-photocounts).  Dwell times in each state are drawn from per-state
-distributions (exponential by default, optionally an inverse power law),
-the resulting occupancy is discretized onto fixed-width time bins, and
-per-bin photocounts are emitted with optional Poisson shot noise.
+photocounts).  Dwell times in each state are exponential with the
+state's mean lifetime, the resulting occupancy is discretized onto
+fixed-width time bins, and per-bin photocounts are emitted with optional
+Poisson shot noise.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,43 +19,13 @@ import numpy as np
 DEFAULT_MEAN_ON_COUNTS = 100.0
 DEFAULT_MEAN_OFF_COUNTS = 10.0
 
-EXPONENTIAL = "exponential"
-POWER_LAW = "power_law"
-
-
-@dataclass(frozen=True)
-class DwellDistribution:
-    """Shape of the per-state dwell-time law.
-
-    kind "exponential" uses the mean lifetimes stored on the emitter model;
-    kind "power_law" draws Pareto variates with exponent m_on/m_off above a
-    hard lower cutoff tau_min (required for normalizability).
-    """
-
-    kind: str = EXPONENTIAL
-    m_on: float | None = None
-    m_off: float | None = None
-    tau_min: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in (EXPONENTIAL, POWER_LAW):
-            raise ValueError(f"unknown dwell distribution kind {self.kind!r}")
-        if self.kind == POWER_LAW:
-            if self.m_on is None or self.m_off is None or self.tau_min is None:
-                raise ValueError("power-law dwell distribution needs m_on, m_off and tau_min")
-            if self.m_on <= 1.0 or self.m_off <= 1.0:
-                raise ValueError("power-law exponents must exceed 1")
-            if self.tau_min <= 0.0:
-                raise ValueError("tau_min must be positive")
-
 
 @dataclass(frozen=True)
 class EmitterModel:
-    """Mean state lifetimes (seconds) and the shape of the dwell-time law."""
+    """Mean state lifetimes in seconds."""
 
     tau_on: float
     tau_off: float
-    dwell_dist: DwellDistribution = field(default_factory=DwellDistribution)
 
     def __post_init__(self):
         if self.tau_on <= 0 or self.tau_off <= 0:
@@ -96,28 +66,17 @@ class BlinkTrace:
     def duration(self) -> float:
         return self.counts.size * self.bin_width
 
-    @property
-    def times(self) -> np.ndarray:
-        """Start time of each bin in seconds."""
-        return np.arange(self.counts.size) * self.bin_width
-
 
 def sample_dwell(state: str, model: EmitterModel, rng: np.random.Generator) -> float:
-    """Draw one dwell duration (seconds) for the given state ("on"/"off").
+    """Draw one exponential dwell duration (seconds) for the state ("on"/"off").
 
     Each call is independent: a state change starts a fresh process that
     remembers nothing about previous visits.
     """
     if state not in ("on", "off"):
         raise ValueError("state must be 'on' or 'off'")
-    dist = model.dwell_dist
-    if dist.kind == EXPONENTIAL:
-        tau = model.tau_on if state == "on" else model.tau_off
-        return float(rng.exponential(tau))
-    m = dist.m_on if state == "on" else dist.m_off
-    # Pareto inverse CDF with hard cutoff: F(t) = 1 - (t/tau_min)^(1-m).
-    u = rng.random()
-    return float(dist.tau_min * (1.0 - u) ** (-1.0 / (m - 1.0)))
+    tau = model.tau_on if state == "on" else model.tau_off
+    return float(rng.exponential(tau))
 
 
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:

@@ -1,13 +1,12 @@
 """Levenberg-Marquardt damped least squares.
 
-lm_solve is a small generic engine; fit_exponential applies it to the
-three-parameter exponential model y0 + A*exp(-t/tau) used as the
+lm_solve is a small generic engine with a fixed damping schedule and
+stopping rule (the module constants below); fit_exponential applies it to
+the three-parameter exponential model y0 + A*exp(-t/tau) used as the
 traditional baseline for dwell-density fitting.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,64 +16,43 @@ from .estimate import RateEstimate
 
 _EXP_CLIP = 700.0  # |exponent| bound, keeps exp() finite during wild steps
 
-
-@dataclass(frozen=True)
-class LmConfig:
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    max_iter: int = 200
-    ftol: float = 1e-10
-    xtol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.lambda_up > 1.0:
-            raise ValueError("lambda_up must exceed 1")
-        if not 0.0 < self.lambda_down < 1.0:
-            raise ValueError("lambda_down must lie in (0, 1)")
-        if self.ftol <= 0 or self.xtol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+# Damping schedule and stopping rule of lm_solve.
+LAMBDA0 = 1e-3
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.1
+MAX_ITER = 200
+FTOL = 1e-10
+XTOL = 1e-10
 
 
-@dataclass
-class ExpFitParams:
-    """Offset, amplitude and lifetime of the exponential model."""
-
-    y0: float
-    A: float
-    tau: float
-
-
-def lm_solve(residual_fn, jacobian_fn, init, config: LmConfig | None = None):
+def lm_solve(residual_fn, jacobian_fn, x0):
     """Minimize ||r(p)||^2 with damped Gauss-Newton steps.
 
     Solves (J^T J + lambda*diag(J^T J)) delta = -J^T r each iteration;
     a step is accepted only if it strictly decreases the cost, in which
-    case lambda is scaled down, otherwise up.  Terminates when the relative
-    cost reduction falls below ftol, the relative step below xtol, or the
-    iteration budget runs out.
+    case lambda is scaled down, otherwise up.  Terminates when an accepted
+    step reduces the cost by a relative FTOL or less, when any step,
+    accepted or rejected, is XTOL or less relative to the parameters (so a
+    fit sitting at its minimum stops once lambda has shrunk the step), or
+    when MAX_ITER iterations have run.
 
     Returns (params, covariance, diagnostics) where covariance is the
     residual-variance-scaled inverse of J^T J at the solution and
     diagnostics records iterations, accepted steps, final cost and the
     converged flag.
     """
-    if config is None:
-        config = LmConfig()
-    x = np.asarray(init, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual_fn(x), dtype=float)
     if not np.all(np.isfinite(r)):
         raise DivergenceError("residual is not finite at the initial point")
     cost = float(r @ r)
-    lam = config.lambda0
+    lam = LAMBDA0
     accepted = 0
     iterations = 0
     converged = cost <= 1e-300
     reason = "zero cost" if converged else "max_iter"
 
-    while not converged and iterations < config.max_iter:
+    while not converged and iterations < MAX_ITER:
         iterations += 1
         J = np.asarray(jacobian_fn(x), dtype=float)
         if not np.all(np.isfinite(J)):
@@ -93,20 +71,22 @@ def lm_solve(residual_fn, jacobian_fn, init, config: LmConfig | None = None):
         r_new = np.asarray(residual_fn(x_new), dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             cost_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
+        step = np.linalg.norm(delta) / max(np.linalg.norm(x), 1e-300)
         if cost_new < cost:
             reduction = (cost - cost_new) / cost
-            step = np.linalg.norm(delta) / max(np.linalg.norm(x), 1e-300)
             x, r, cost = x_new, r_new, cost_new
-            lam = max(lam * config.lambda_down, 1e-15)
+            lam = max(lam * LAMBDA_DOWN, 1e-15)
             accepted += 1
-            if reduction <= config.ftol:
+            if reduction <= FTOL:
                 converged, reason = True, "ftol"
-            elif step <= config.xtol:
+            elif step <= XTOL:
                 converged, reason = True, "xtol"
             elif cost <= 1e-300:
                 converged, reason = True, "zero cost"
         else:
-            lam *= config.lambda_up
+            lam *= LAMBDA_UP
+            if step <= XTOL:
+                converged, reason = True, "xtol"
 
     J = np.asarray(jacobian_fn(x), dtype=float)
     jtj = J.T @ J
@@ -130,16 +110,12 @@ def _exp_model(t, y0, amp, tau):
     return y0 + amp * np.exp(np.clip(-t / safe_tau, -_EXP_CLIP, _EXP_CLIP))
 
 
-def fit_exponential(
-    density: EmpiricalDensity,
-    init: ExpFitParams | None = None,
-    config: LmConfig | None = None,
-) -> RateEstimate:
+def fit_exponential(density: EmpiricalDensity) -> RateEstimate:
     """Fit y0 + A*exp(-t/tau) to a dwell density and report tau.
 
-    With init=None the start point is y0 = min density, A = max - min and
-    tau = the density-weighted mean dwell.  The returned estimate carries
-    the standard error from the scaled inverse approximate Hessian and the
+    The start point is y0 = min density, A = max - min and tau = the
+    density-weighted mean dwell.  The returned estimate carries the
+    standard error from the scaled inverse approximate Hessian and the
     optimizer diagnostics; converged is False when the iteration budget was
     exhausted.
     """
@@ -149,11 +125,7 @@ def fit_exponential(
         raise InsufficientDataError(
             f"exponential fit needs at least 4 support points, got {t.size}"
         )
-    if init is None:
-        y0 = float(d.min())
-        amp = float(d.max() - d.min())
-        tau0 = float((t * d).sum() / d.sum())
-        init = ExpFitParams(y0, amp, tau0)
+    tau0 = float((t * d).sum() / d.sum())
 
     def residual(p):
         return _exp_model(t, p[0], p[1], p[2]) - d
@@ -163,10 +135,11 @@ def fit_exponential(
         e = np.exp(np.clip(-t / safe_tau, -_EXP_CLIP, _EXP_CLIP))
         return np.column_stack([np.ones_like(t), e, p[1] * e * t / safe_tau**2])
 
-    params, cov, diag = lm_solve(residual, jacobian, [init.y0, init.A, init.tau], config)
+    x0 = [float(d.min()), float(d.max() - d.min()), tau0]
+    params, cov, diag = lm_solve(residual, jacobian, x0)
     tau_err = float(np.sqrt(max(cov[2, 2], 0.0)))
     diag = dict(diag)
-    diag.update({"y0": float(params[0]), "A": float(params[1]), "tau_init": init.tau})
+    diag.update({"y0": float(params[0]), "A": float(params[1]), "tau_init": tau0})
     return RateEstimate(
         tau_hat=float(params[2]),
         std_err=tau_err,

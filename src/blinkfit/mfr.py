@@ -1,11 +1,13 @@
 """Supervised multi-feature regression for dwell lifetimes.
 
-A dwell histogram is flattened into a dense occurrence vector
-[1, x_1, ..., x_n] and a ridge-regularized linear model maps it straight
-to a lifetime.  Models are trained on simulated corpora whose labels are
-known exactly, one model per state and per trace duration (raw occurrence
-counts scale with trace length, so a model is only calibrated for the
-duration it was trained on).
+A dwell histogram is flattened into a dense occurrence row
+[1, x_1, ..., x_n] (featurize) and a ridge-regularized linear model maps
+it straight to a lifetime (estimate).  train_model solves the weights in
+closed form from a TrainingSet, the (N, n + 1) feature matrix of a
+simulated corpus whose labels are known exactly.  There is one model per
+state and per trace duration: raw occurrence counts scale with trace
+length, so a model is only calibrated for the bin width and duration it
+was trained on, and records both.
 """
 
 from __future__ import annotations
@@ -45,36 +47,22 @@ DEFAULT_TAU_RANGE = (3e-3, 45e-3)
 
 
 @dataclass(eq=False)
-class FeatureVector:
-    """Dense occurrence features with a leading bias slot."""
-
-    values: np.ndarray
-    truncated: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    @property
-    def n(self) -> int:
-        return self.values.size - 1
-
-
-@dataclass(eq=False)
 class TrainingSet:
-    """Labeled (features, lifetime) pairs sharing one feature count."""
+    """Labeled lifetimes and their feature rows [1, x_1, ..., x_n].
 
-    features: list[FeatureVector]
+    features is the (N, n + 1) matrix, one row per label.
+    """
+
+    features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
-        if len(self.features) != self.labels.size:
-            raise ValueError("features and labels must have equal length")
+        if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
+            raise ValueError("features must hold one row per label")
         if self.labels.size and np.any(self.labels <= 0):
             raise ValueError("labels must be positive lifetimes")
-        sizes = {fv.n for fv in self.features}
-        if len(sizes) > 1:
-            raise ValueError("all feature vectors must share the same n")
 
     @property
     def N(self) -> int:
@@ -82,10 +70,10 @@ class TrainingSet:
 
     @property
     def n(self) -> int:
-        return self.features[0].n
+        return self.features.shape[1] - 1
 
     def matrix(self) -> np.ndarray:
-        return np.vstack([fv.values for fv in self.features])
+        return self.features
 
 
 @dataclass
@@ -104,6 +92,8 @@ class MfrModel:
             raise ValueError("weight length must be n + 1")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
+        if not (self.bin_width > 0 and self.trained_duration > 0):
+            raise ValueError("bin_width and trained_duration must be positive")
 
     def save(self, path) -> None:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -130,28 +120,128 @@ def default_feature_count(tau_hi: float, bin_width: float) -> int:
     return int(math.ceil(10.0 * tau_hi / bin_width))
 
 
-def featurize(hist: DwellHistogram, n: int) -> FeatureVector:
-    """Zero-padded dense occurrence vector [1, x_1, ..., x_n].
+def featurize(hist: DwellHistogram, n: int) -> np.ndarray:
+    """Zero-padded dense occurrence row [1, x_1, ..., x_n].
 
-    Occurrences at duration indices beyond n are dropped and the truncation
-    flag is set.
+    Occurrences at duration indices beyond n are dropped.
     """
     if n < 1:
         raise ValueError("feature count must be positive")
-    values = np.zeros(n + 1)
-    values[0] = 1.0
+    row = np.zeros(n + 1)
+    row[0] = 1.0
     keep = hist.indices <= n
-    values[hist.indices[keep]] = hist.occurrences[keep]
-    return FeatureVector(values, truncated=bool(np.any(~keep)))
+    row[hist.indices[keep]] = hist.occurrences[keep]
+    return row
 
 
-def train(corpus: TrainingSet, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA) -> MfrModel:
+def estimate(
+    model: MfrModel, hist: DwellHistogram, trace_duration: float | None = None
+) -> RateEstimate:
+    """Featurize a histogram and predict its lifetime with the model.
+
+    Raises ValueError when the histogram's bin width differs from the
+    model's (feature i counts dwells of i bins).  Warns when the trace
+    duration differs from the duration the model was trained on (raw
+    counts scale with trace length).  A prediction that is not a positive
+    lifetime is returned with converged False; diagnostics["truncated"]
+    says whether dwells longer than the model's n bins were dropped.
+    """
+    if not math.isclose(hist.bin_width, model.bin_width, rel_tol=1e-9):
+        raise ValueError(
+            f"model bin width {model.bin_width} s differs from "
+            f"trace bin width {hist.bin_width} s"
+        )
+    if trace_duration is not None and not math.isclose(
+        trace_duration, model.trained_duration, rel_tol=1e-6
+    ):
+        warnings.warn(
+            f"model was trained on {model.trained_duration} s traces but the "
+            f"trace is {trace_duration} s; prediction may be miscalibrated",
+            stacklevel=2,
+        )
+    tau = float(model.weights @ featurize(hist, model.n))
+    return RateEstimate(
+        tau_hat=tau,
+        std_err=0.0,
+        method="mfr",
+        converged=bool(np.isfinite(tau) and tau > 0),
+        diagnostics={"truncated": bool(len(hist) and hist.indices[-1] > model.n)},
+    )
+
+
+def _log_stratified(lo: float, hi: float, N: int, rng: np.random.Generator) -> np.ndarray:
+    """Log-uniform draws, one per equal slice of the log range."""
+    ratio = hi / lo
+    return lo * ratio ** ((np.arange(N) + rng.random(N)) / N)
+
+
+def generate_training_corpus(
+    tau_range: tuple[float, float],
+    N: int,
+    trace_duration: float,
+    *,
+    bin_width: float,
+    photon_noise: str | None = "poisson",
+    rng=None,
+) -> tuple[TrainingSet, TrainingSet]:
+    """Simulate N labeled traces and featurize them, per state.
+
+    Both lifetimes of each training emitter are drawn log-uniformly from
+    tau_range (one stratified draw per log-decade slice, so a small corpus
+    still covers the range evenly); the on-corpus labels each trace with
+    its tau_on and the off-corpus with its tau_off.  Each trace gets an
+    independent seed derived from rng, so the corpus is deterministic and
+    order-independent.  Rows have default_feature_count(tau_range[1],
+    bin_width) features.
+    """
+    lo, hi = tau_range
+    if not 0 < lo < hi:
+        raise ValueError("tau_range must satisfy 0 < lo < hi")
+    if N < 1:
+        raise ValueError("need at least one training set")
+    generator = np.random.default_rng(rng)
+    n = default_feature_count(hi, bin_width)
+
+    labels_on = generator.permutation(_log_stratified(lo, hi, N, generator))
+    labels_off = generator.permutation(_log_stratified(lo, hi, N, generator))
+    child_seeds = generator.integers(0, 2**63 - 1, size=N)
+    threshold = 0.5 * (DEFAULT_MEAN_ON_COUNTS + DEFAULT_MEAN_OFF_COUNTS)
+
+    # a draw with too few transitions keeps its all-zero row
+    features_on = np.zeros((N, n + 1))
+    features_on[:, 0] = 1.0
+    features_off = features_on.copy()
+    for i in range(N):
+        model = EmitterModel(tau_on=labels_on[i], tau_off=labels_off[i])
+        trace = generate_trace(
+            model, trace_duration, bin_width, photon_noise, rng=int(child_seeds[i])
+        )
+        try:
+            hist_on, hist_off = dwell_histogram(binarize(trace, threshold))
+        except EmptyHistogramError:
+            continue
+        features_on[i] = featurize(hist_on, n)
+        features_off[i] = featurize(hist_off, n)
+    return (
+        TrainingSet(features_on, labels_on),
+        TrainingSet(features_off, labels_off),
+    )
+
+
+def train_model(
+    corpus: TrainingSet,
+    *,
+    bin_width: float,
+    trained_duration: float,
+    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
+) -> MfrModel:
     """Solve the regularized least-squares weights in closed form.
 
     Minimizes sum_i (w.x_i - tau_i)^2 + ridge_lambda * ||w_1..n||^2 (the
     bias weight is unpenalized) via the normal equations.  With
     ridge_lambda = 0 the system is singular whenever N < n + 1, which is
-    reported as RankDeficientError.
+    reported as RankDeficientError.  The model records the bin width and
+    trace duration it is calibrated for.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be non-negative")
@@ -171,141 +261,4 @@ def train(corpus: TrainingSet, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA) -> Mf
         weights = cho_solve(cho_factor(A), X.T @ y)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError("normal equations are singular") from exc
-    # calibration metadata (bin width, duration) is attached by train_model
-    return MfrModel(
-        weights=weights,
-        n=n,
-        bin_width=0.0,
-        trained_duration=0.0,
-        ridge_lambda=ridge_lambda,
-    )
-
-
-def predict(model: MfrModel, features: FeatureVector) -> float:
-    """Dot product of weights and features; negative outputs only warn."""
-    if features.n != model.n:
-        raise ValueError(
-            f"feature count {features.n} does not match model feature count {model.n}"
-        )
-    tau = float(model.weights @ features.values)
-    if tau < 0:
-        warnings.warn("regression predicted a negative lifetime", stacklevel=2)
-    return tau
-
-
-def estimate(
-    model: MfrModel, hist: DwellHistogram, trace_duration: float | None = None
-) -> RateEstimate:
-    """Featurize a histogram and predict its lifetime with the model.
-
-    Raises ValueError when the histogram's bin width differs from the
-    model's (feature i counts dwells of i bins).  Warns when the trace
-    duration differs from the duration the model was trained on (raw
-    counts scale with trace length).
-    """
-    if model.bin_width > 0 and not math.isclose(hist.bin_width, model.bin_width, rel_tol=1e-9):
-        raise ValueError(
-            f"model bin width {model.bin_width} s differs from "
-            f"trace bin width {hist.bin_width} s"
-        )
-    if trace_duration is not None and model.trained_duration > 0:
-        if not math.isclose(trace_duration, model.trained_duration, rel_tol=1e-6):
-            warnings.warn(
-                f"model was trained on {model.trained_duration} s traces but the "
-                f"trace is {trace_duration} s; prediction may be miscalibrated",
-                stacklevel=2,
-            )
-    fv = featurize(hist, model.n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tau = predict(model, fv)
-    converged = bool(np.isfinite(tau) and tau > 0)
-    return RateEstimate(
-        tau_hat=tau,
-        std_err=0.0,
-        method="mfr",
-        converged=converged,
-        diagnostics={"truncated": fv.truncated},
-    )
-
-
-def _log_stratified(lo: float, hi: float, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Log-uniform draws, one per equal slice of the log range."""
-    ratio = hi / lo
-    return lo * ratio ** ((np.arange(N) + rng.random(N)) / N)
-
-
-def generate_training_corpus(
-    tau_range: tuple[float, float],
-    N: int,
-    trace_duration: float,
-    *,
-    bin_width: float,
-    photon_noise: str | None = "poisson",
-    rng=None,
-    n: int | None = None,
-    mean_on_counts: float = DEFAULT_MEAN_ON_COUNTS,
-    mean_off_counts: float = DEFAULT_MEAN_OFF_COUNTS,
-) -> tuple[TrainingSet, TrainingSet]:
-    """Simulate N labeled traces and featurize them, per state.
-
-    Both lifetimes of each training emitter are drawn log-uniformly from
-    tau_range (one stratified draw per log-decade slice, so a small corpus
-    still covers the range evenly); the on-corpus labels each trace with
-    its tau_on and the off-corpus with its tau_off.  Each trace gets an
-    independent seed derived from rng, so the corpus is deterministic and
-    order-independent.
-    """
-    lo, hi = tau_range
-    if not 0 < lo < hi:
-        raise ValueError("tau_range must satisfy 0 < lo < hi")
-    if N < 1:
-        raise ValueError("need at least one training set")
-    generator = np.random.default_rng(rng)
-    if n is None:
-        n = default_feature_count(hi, bin_width)
-
-    labels_on = generator.permutation(_log_stratified(lo, hi, N, generator))
-    labels_off = generator.permutation(_log_stratified(lo, hi, N, generator))
-    child_seeds = generator.integers(0, 2**63 - 1, size=N)
-    threshold = 0.5 * (mean_on_counts + mean_off_counts)
-
-    feats_on, feats_off = [], []
-    empty = FeatureVector(np.concatenate([[1.0], np.zeros(n)]))
-    for i in range(N):
-        model = EmitterModel(tau_on=labels_on[i], tau_off=labels_off[i])
-        trace = generate_trace(
-            model,
-            trace_duration,
-            bin_width,
-            photon_noise,
-            rng=int(child_seeds[i]),
-            mean_on_counts=mean_on_counts,
-            mean_off_counts=mean_off_counts,
-        )
-        try:
-            hist_on, hist_off = dwell_histogram(binarize(trace, threshold))
-            feats_on.append(featurize(hist_on, n))
-            feats_off.append(featurize(hist_off, n))
-        except EmptyHistogramError:
-            # too few transitions in this draw; keep the all-zero features
-            feats_on.append(empty)
-            feats_off.append(empty)
-    return (
-        TrainingSet(feats_on, labels_on),
-        TrainingSet(feats_off, labels_off),
-    )
-
-
-def train_model(
-    corpus: TrainingSet,
-    *,
-    bin_width: float,
-    trained_duration: float,
-    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
-) -> MfrModel:
-    """train() plus the calibration metadata a stored model needs."""
-    model = train(corpus, ridge_lambda)
-    model.bin_width = bin_width
-    model.trained_duration = trained_duration
-    return model
+    return MfrModel(weights, n, bin_width, trained_duration, ridge_lambda)

@@ -73,7 +73,7 @@ from blinkfit.emitter import EmitterModel, generate_trace, sample_dwell
 from blinkfit.errors import BlinkfitError
 from blinkfit.ga import Clustering, GaConfig, extract_tau, kmeans_cluster, run_ga, silhouette
 from blinkfit.levmar import fit_exponential
-from blinkfit.mfr import FeatureVector, TrainingSet, train
+from blinkfit.mfr import TrainingSet, train_model
 
 TRIALS = 100
 SCENARIO = default_scenario(trials_per_cell=TRIALS, base_seed=1234)
@@ -365,13 +365,11 @@ class TestCriterion6OracleEquivalences:
 
     def test_mfr_recovers_planted_weights(self):
         rng = np.random.default_rng(0)
-        feats = []
-        labels = []
-        for _ in range(10):
-            x = np.concatenate([[1.0], rng.integers(0, 9, size=4).astype(float)])
-            feats.append(FeatureVector(x))
-            labels.append(5.0 + 2.0 * x[1])
-        model = train(TrainingSet(feats, np.array(labels)), ridge_lambda=0.0)
+        X = np.ones((10, 5))
+        for row in X:
+            row[1:] = rng.integers(0, 9, size=4)
+        corpus = TrainingSet(X, 5.0 + 2.0 * X[:, 1])
+        model = train_model(corpus, bin_width=1e-3, trained_duration=1.0, ridge_lambda=0.0)
         gap = max(
             abs(model.weights[0] - 5.0),
             abs(model.weights[1] - 2.0),

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -18,6 +19,11 @@ class TestParseTime:
     def test_rejects_garbage(self):
         with pytest.raises(Exception):
             parse_time("fast")
+
+    @pytest.mark.parametrize("text", ["0", "0ms", "-5ms"])
+    def test_rejects_non_positive(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="positive"):
+            parse_time(text)
 
 
 class TestSimulate:
@@ -60,6 +66,8 @@ class TestSimulate:
     def test_bad_flags(self, tmp_path):
         assert run(["simulate", "--duration", "oops", "--out", str(tmp_path / "x.csv")]) == 1
         assert run(["simulate", "--unknown-flag", "1", "--out", str(tmp_path / "x.csv")]) == 1
+        assert run(["simulate", "--bin-width", "0", "--out", str(tmp_path / "x.csv")]) == 1
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +184,18 @@ class TestSharedPipeline:
         assert code == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("bin_width", 0.0), ("trained_duration", -2.0)])
+    def test_mfr_model_bad_protocol(self, trace_2s, tmp_path, capsys, key, value):
+        base = tmp_path / "model"
+        assert run(["train-mfr", "--count", "2", "--duration", "2s", "--out", str(base)]) == 0
+        on = tmp_path / "model_on.json"
+        payload = json.loads(on.read_text())
+        payload[key] = value
+        on.write_text(json.dumps(payload))
+        code = run(["analyze", "--trace", str(trace_2s), "--method", "mfr", "--model", str(base)])
+        assert code == 1
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestTrainMfr:
     def test_writes_two_models(self, tmp_path, capsys):
@@ -222,6 +242,18 @@ class TestTrainMfr:
             ]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--bin-width", "0"], "must be positive"),
+            (["--duration", "0.5ms"], "at least one bin"),
+        ],
+    )
+    def test_bad_time_flags(self, tmp_path, capsys, flags, message):
+        assert run(["train-mfr", "--count", "2", *flags, "--out", str(tmp_path / "m")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m_on.json").exists()
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["train-mfr", "--count", "3", "--duration", "0.2s", "--seed", "8"]
@@ -267,6 +299,24 @@ class TestBench:
         fig2 = _load_scenario("fig2", 7)
         assert fig2.tau_off == pytest.approx(6.7e-3)
         assert fig2.trials_per_cell == 7
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "JSON object"),
+            ({"tau_on": -0.01}, "must be positive"),
+            ({"bin_width": 0.0}, "must be positive"),
+            ({"durations": [0.5e-3, 2.0]}, "at least one bin"),
+            ({"noise": "gaussian"}, "noise"),
+        ],
+    )
+    def test_bad_scenario(self, tmp_path, capsys, payload, message):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(payload))
+        out = str(tmp_path / "o")
+        assert run(["bench", "--scenario", str(scenario), "--methods", "lm", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "bad scenario" in err and message in err
 
     def test_deterministic_outputs(self, tmp_path):
         scenario = tmp_path / "scenario.json"

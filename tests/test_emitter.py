@@ -6,7 +6,6 @@ import pytest
 
 from blinkfit.dwell import binarize
 from blinkfit.emitter import (
-    DwellDistribution,
     EmitterModel,
     generate_trace,
     read_trace,
@@ -15,8 +14,8 @@ from blinkfit.emitter import (
 )
 
 
-def make_model(tau_on=15e-3, tau_off=45e-3, **kw):
-    return EmitterModel(tau_on=tau_on, tau_off=tau_off, **kw)
+def make_model(tau_on=15e-3, tau_off=45e-3):
+    return EmitterModel(tau_on=tau_on, tau_off=tau_off)
 
 
 class TestSampleDwell:
@@ -32,17 +31,6 @@ class TestSampleDwell:
         rng = np.random.default_rng(456)
         samples = np.array([sample_dwell("on", model, rng) for _ in range(10**6)])
         assert samples.var() == pytest.approx((15e-3) ** 2, rel=0.01)
-
-    def test_power_law_matches_pareto_cdf(self):
-        from scipy import stats
-
-        dist = DwellDistribution(kind="power_law", m_on=2.5, m_off=2.5, tau_min=1e-3)
-        model = make_model(dwell_dist=dist)
-        rng = np.random.default_rng(789)
-        samples = np.array([sample_dwell("on", model, rng) for _ in range(10**6)])
-        # analytic Pareto CDF: F(t) = 1 - (t/tau_min)^(1-m)
-        d, _ = stats.kstest(samples, lambda t: 1.0 - (t / 1e-3) ** (1.0 - 2.5))
-        assert d < 0.002
 
     def test_unknown_state_rejected(self):
         with pytest.raises(ValueError):
@@ -103,10 +91,6 @@ class TestModelValidation:
     def test_positive_lifetimes_required(self):
         with pytest.raises(ValueError):
             EmitterModel(tau_on=0.0, tau_off=1.0)
-
-    def test_power_law_exponent_bound(self):
-        with pytest.raises(ValueError):
-            DwellDistribution(kind="power_law", m_on=0.9, m_off=2.0, tau_min=1e-3)
 
 
 class TestTraceIO:

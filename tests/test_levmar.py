@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blinkfit.bench import default_scenario, run_trial
 from blinkfit.dwell import (
     EmpiricalDensity,
     auto_threshold,
@@ -10,7 +11,7 @@ from blinkfit.dwell import (
 )
 from blinkfit.emitter import EmitterModel, generate_trace
 from blinkfit.errors import InsufficientDataError
-from blinkfit.levmar import ExpFitParams, LmConfig, fit_exponential, lm_solve
+from blinkfit.levmar import fit_exponential, lm_solve
 
 
 def exp_density(y0, amp, tau, t_ms):
@@ -21,11 +22,19 @@ def exp_density(y0, amp, tau, t_ms):
 
 class TestLmSolve:
     def test_linear_problem(self):
-        # three damped steps suffice to land on the solution
-        res = lambda p: np.array([p[0] - 3.0])
+        # three damped steps suffice to land on the solution; the fourth
+        # meets the stopping rule
+        xs = []
+
+        def res(p):
+            xs.append(p.copy())
+            return np.array([p[0] - 3.0])
+
         jac = lambda p: np.array([[1.0]])
-        x, _, _ = lm_solve(res, jac, [0.0], LmConfig(max_iter=3))
+        x, _, diag = lm_solve(res, jac, [0.0])
+        assert xs[3][0] == pytest.approx(3.0, abs=1e-8)
         assert x[0] == pytest.approx(3.0, abs=1e-8)
+        assert diag["converged"] and diag["iterations"] == 4
 
     def test_rosenbrock(self):
         def res(p):
@@ -34,9 +43,10 @@ class TestLmSolve:
         def jac(p):
             return np.array([[-1.0, 0.0], [-20.0 * p[0], 10.0]])
 
-        x, _, diag = lm_solve(res, jac, [-1.2, 1.0], LmConfig(max_iter=500))
+        x, _, diag = lm_solve(res, jac, [-1.2, 1.0])
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-8)
         assert diag["converged"]
+        assert diag["iterations"] == 44
 
     def test_zero_residual_init(self):
         res = lambda p: np.zeros(2)
@@ -72,6 +82,27 @@ class TestLmSolve:
                 accepted.append(c)
         assert all(b < a for a, b in zip(accepted, accepted[1:]))
 
+    def test_start_at_minimum_converges(self):
+        # the start is the minimum of a cost that cannot reach zero: the
+        # first step is zero and rejected, which meets xtol at once
+        res = lambda p: np.array([np.hypot(p[0] - 2.0, 1.0)])
+        jac = lambda p: np.array([[(p[0] - 2.0) / np.hypot(p[0] - 2.0, 1.0)]])
+        x, _, diag = lm_solve(res, jac, [2.0])
+        assert diag["converged"] and diag["reason"] == "xtol"
+        assert diag["iterations"] == 1 and diag["accepted"] == 0
+        assert x[0] == 2.0
+
+    def test_off_state_fit_at_minimum_converges(self):
+        # 200 s bench trial whose off-state fit reaches its minimum after 3
+        # accepted steps: testing xtol only after accepted steps ran it to
+        # MAX_ITER (200) and reported converged False with this same tau
+        est = run_trial(default_scenario(base_seed=99), 200.0, "lm", 164)["off"]
+        assert est.converged
+        assert est.diagnostics["reason"] == "xtol"
+        assert est.diagnostics["iterations"] == 11
+        assert est.diagnostics["accepted"] == 3
+        assert est.tau_hat == 0.045996742099088266
+
 
 class TestFitExponential:
     def test_noiseless_recovery(self):
@@ -85,10 +116,13 @@ class TestFitExponential:
         with pytest.raises(InsufficientDataError):
             fit_exponential(density)
 
-    def test_explicit_init(self):
+    def test_default_start_with_offset(self):
+        # start y0 = min, A = max - min, tau = weighted mean dwell (28 ms)
         density = exp_density(0.01, 0.05, 20e-3, np.arange(1, 80))
-        est = fit_exponential(density, init=ExpFitParams(0.0, 0.1, 10e-3))
+        est = fit_exponential(density)
+        assert est.converged
         assert est.tau_hat == pytest.approx(20e-3, rel=1e-5)
+        assert est.diagnostics["iterations"] == 6
 
     def test_short_trace_failure_mode(self):
         # 2 s traces: the fit mostly fails the benchmark predicate or is
@@ -134,12 +168,3 @@ class TestFitExponential:
         est = fit_exponential(density)
         assert est.rate == pytest.approx(1.0 / est.tau_hat)
 
-
-class TestLmConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LmConfig(lambda_up=0.5)
-        with pytest.raises(ValueError):
-            LmConfig(lambda_down=1.5)
-        with pytest.raises(ValueError):
-            LmConfig(ftol=0.0)

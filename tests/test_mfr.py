@@ -4,12 +4,11 @@ import pytest
 from blinkfit.dwell import DwellHistogram
 from blinkfit.errors import RankDeficientError
 from blinkfit.mfr import (
-    FeatureVector,
+    MfrModel,
     TrainingSet,
+    estimate,
     featurize,
     generate_training_corpus,
-    predict,
-    train,
     train_model,
 )
 
@@ -19,33 +18,34 @@ def hist(pairs, bin_width=1e-3):
     return DwellHistogram("on", bin_width, np.array(idx), np.array(occ))
 
 
+def train(corpus, ridge_lambda):
+    return train_model(corpus, bin_width=1e-3, trained_duration=1.0, ridge_lambda=ridge_lambda)
+
+
+def model_with(weights):
+    return MfrModel(np.asarray(weights, dtype=float), len(weights) - 1, 1e-3, 1.0, 1.0)
+
+
 def linear_corpus(n_points=10, n_feat=3, w0=5.0, w1=2.0, rng=None):
     rng = rng or np.random.default_rng(0)
-    feats, labels = [], []
-    for _ in range(n_points):
-        x = np.zeros(n_feat + 1)
-        x[0] = 1.0
-        x[1:] = rng.integers(0, 8, size=n_feat)
-        feats.append(FeatureVector(x))
-        labels.append(w0 + w1 * x[1])
-    return TrainingSet(feats, np.array(labels))
+    X = np.ones((n_points, n_feat + 1))
+    X[:, 1:] = rng.integers(0, 8, size=(n_points, n_feat))
+    return TrainingSet(X, w0 + w1 * X[:, 1])
 
 
 class TestFeaturize:
     def test_placement_and_padding(self):
-        fv = featurize(hist({1: 4, 3: 2}), 4)
-        np.testing.assert_array_equal(fv.values, [1, 4, 0, 2, 0])
-        assert not fv.truncated
+        np.testing.assert_array_equal(featurize(hist({1: 4, 3: 2}), 4), [1, 4, 0, 2, 0])
+        assert not estimate(model_with(np.zeros(5)), hist({1: 4, 3: 2})).diagnostics["truncated"]
 
     def test_empty_support(self):
         h = DwellHistogram("on", 1e-3, np.array([], dtype=int), np.array([], dtype=int))
-        fv = featurize(h, 3)
-        np.testing.assert_array_equal(fv.values, [1, 0, 0, 0])
+        np.testing.assert_array_equal(featurize(h, 3), [1, 0, 0, 0])
+        assert not estimate(model_with(np.ones(4)), h).diagnostics["truncated"]
 
     def test_truncation_flag(self):
-        fv = featurize(hist({5: 1}), 3)
-        np.testing.assert_array_equal(fv.values, [1, 0, 0, 0])
-        assert fv.truncated
+        np.testing.assert_array_equal(featurize(hist({5: 1}), 3), [1, 0, 0, 0])
+        assert estimate(model_with(np.ones(4)), hist({5: 1})).diagnostics["truncated"]
 
 
 class TestTrain:
@@ -63,10 +63,10 @@ class TestTrain:
             train(corpus, ridge_lambda=0.0)
 
     def test_single_point_with_ridge(self):
-        fv = FeatureVector(np.array([1.0, 2.0, 0.0]))
-        corpus = TrainingSet([fv], np.array([10.0]))
+        x = np.array([1.0, 2.0, 0.0])
+        corpus = TrainingSet([x], np.array([10.0]))
         model = train(corpus, ridge_lambda=0.5)
-        cost_w = (model.weights @ fv.values - 10.0) ** 2 + 0.5 * (
+        cost_w = (model.weights @ x - 10.0) ** 2 + 0.5 * (
             model.weights[1:] @ model.weights[1:]
         )
         cost_zero = 10.0**2
@@ -76,11 +76,9 @@ class TestTrain:
         # all labels equal: as lambda grows the bias absorbs the label and
         # slopes vanish (oracle: direct cost evaluation on a weight grid)
         rng = np.random.default_rng(1)
-        feats = [
-            FeatureVector(np.concatenate([[1.0], rng.integers(0, 5, 4)]))
-            for _ in range(12)
-        ]
-        corpus = TrainingSet(feats, np.full(12, 7.0))
+        X = np.ones((12, 5))
+        X[:, 1:] = rng.integers(0, 5, size=(12, 4))
+        corpus = TrainingSet(X, np.full(12, 7.0))
         prev_slope = None
         for lam in (1.0, 10.0, 100.0, 1000.0):
             model = train(corpus, ridge_lambda=lam)
@@ -109,67 +107,49 @@ class TestTrain:
             assert cost(model.weights + delta) >= base - 1e-12
 
 
+class TestTrainingSet:
+    def test_row_label_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one row per label"):
+            TrainingSet(np.ones((3, 4)), np.ones(2))
+        with pytest.raises(ValueError, match="one row per label"):
+            TrainingSet(np.ones(4), np.ones(4))
+
+
 class TestPredict:
     def test_bias_only(self):
-        model = train_model(
-            TrainingSet([FeatureVector(np.array([1.0, 0.0]))], np.array([5.0])),
-            bin_width=1e-3,
-            trained_duration=1.0,
-            ridge_lambda=1.0,
-        )
-        model.weights = np.array([5.0, 0.0])
-        assert predict(model, FeatureVector(np.array([1.0, 123.0]))) == 5.0
+        est = estimate(model_with([5.0, 0.0]), hist({1: 123}))
+        assert est.tau_hat == 5.0 and est.converged
 
     def test_single_slope(self):
-        model = train_model(
-            TrainingSet([FeatureVector(np.array([1.0, 1.0]))], np.array([1.0])),
-            bin_width=1e-3,
-            trained_duration=1.0,
-            ridge_lambda=1.0,
-        )
-        model.weights = np.array([0.0, 1.0])
-        assert predict(model, FeatureVector(np.array([1.0, 7.0]))) == 7.0
+        est = estimate(model_with([0.0, 1.0]), hist({1: 7}))
+        assert est.tau_hat == 7.0 and est.converged
 
     def test_length_mismatch(self):
-        model = train_model(
-            TrainingSet([FeatureVector(np.array([1.0, 1.0]))], np.array([1.0])),
-            bin_width=1e-3,
-            trained_duration=1.0,
-            ridge_lambda=1.0,
-        )
-        with pytest.raises(ValueError):
-            predict(model, FeatureVector(np.array([1.0, 2.0, 3.0])))
+        # a model's weights must match its feature count, so estimate
+        # always featurizes to the model's n
+        with pytest.raises(ValueError, match="n \\+ 1"):
+            MfrModel(np.zeros(3), 1, 1e-3, 1.0, 1.0)
 
-    def test_negative_prediction_warns(self):
-        model = train_model(
-            TrainingSet([FeatureVector(np.array([1.0, 1.0]))], np.array([1.0])),
-            bin_width=1e-3,
-            trained_duration=1.0,
-            ridge_lambda=1.0,
-        )
-        model.weights = np.array([-1.0, 0.0])
-        with pytest.warns(UserWarning):
-            predict(model, FeatureVector(np.array([1.0, 0.0])))
+    def test_negative_prediction_not_converged(self, recwarn):
+        est = estimate(model_with([-1.0, 0.0]), hist({1: 3}))
+        assert est.tau_hat == -1.0
+        assert not est.converged
+        assert len(recwarn) == 0
 
     def test_linearity_of_slope_part(self):
+        # the prediction is affine in the occurrence counts
         rng = np.random.default_rng(9)
-        w = rng.normal(size=6)
-        model = train_model(
-            TrainingSet([FeatureVector(np.concatenate([[1.0], np.zeros(5)]))], np.array([1.0])),
-            bin_width=1e-3,
-            trained_duration=1.0,
-            ridge_lambda=1.0,
-        )
-        model.weights = w
-        x = rng.normal(size=5)
-        z = rng.normal(size=5)
-        a, b = 2.0, -0.5
+        model = model_with(rng.normal(size=6))
+        x = rng.integers(0, 9, size=5)
+        z = rng.integers(0, 9, size=5)
+        idx = np.arange(1, 6)
 
-        def slope_part(v):
-            return float(w[1:] @ v)
+        def predict(v):
+            return estimate(model, DwellHistogram("on", 1e-3, idx, v)).tau_hat
 
-        assert slope_part(a * x + b * z) == pytest.approx(
-            a * slope_part(x) + b * slope_part(z)
+        bias = predict(np.zeros(5, dtype=int))
+        assert predict(x + 2 * z) - bias == pytest.approx(
+            (predict(x) - bias) + 2 * (predict(z) - bias)
         )
 
 
@@ -197,8 +177,6 @@ class TestCorpus:
         model = train_model(on, bin_width=1e-3, trained_duration=0.5)
         path = tmp_path / "model_on.json"
         model.save(path)
-        from blinkfit.mfr import MfrModel
-
         back = MfrModel.load(path)
         np.testing.assert_array_equal(back.weights, model.weights)
         assert back.n == model.n
@@ -209,7 +187,6 @@ class TestCorpus:
         # must not exceed its error at 0.2 s
         from blinkfit.dwell import auto_threshold, binarize, dwell_histogram
         from blinkfit.emitter import EmitterModel, generate_trace
-        from blinkfit.mfr import estimate
 
         model_true = EmitterModel(tau_on=15e-3, tau_off=45e-3)
         med_errs = []
@@ -231,8 +208,6 @@ class TestCorpus:
         assert med_errs[0] <= med_errs[1] * 1.05  # 2 s no worse than 0.2 s
 
     def test_duration_mismatch_warns(self):
-        from blinkfit.mfr import estimate
-
         on, _ = generate_training_corpus((5e-3, 50e-3), 6, 0.5, bin_width=1e-3, rng=3)
         model = train_model(on, bin_width=1e-3, trained_duration=0.5)
         h = hist({1: 2, 4: 1})
@@ -240,8 +215,6 @@ class TestCorpus:
             estimate(model, h, trace_duration=2.0)
 
     def test_bin_width_mismatch_rejected(self):
-        from blinkfit.mfr import estimate
-
         on, _ = generate_training_corpus((5e-3, 50e-3), 6, 0.5, bin_width=1e-3, rng=3)
         model = train_model(on, bin_width=1e-3, trained_duration=0.5)
         with pytest.raises(ValueError, match="bin width"):
