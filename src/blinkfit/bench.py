@@ -49,14 +49,15 @@ class Scenario:
     def __post_init__(self):
         if not (self.tau_on > 0 and self.tau_off > 0 and self.bin_width > 0):
             raise ValueError("tau_on, tau_off and bin_width must be positive")
-        if list(self.durations) != sorted(self.durations):
-            raise ValueError("durations must be sorted ascending")
-        if any(d < self.bin_width for d in self.durations):
+        durations = self.durations
+        if not durations or any(a >= b for a, b in zip(durations, durations[1:])):
+            raise ValueError("durations must be non-empty and strictly increasing")
+        if any(d < self.bin_width for d in durations):
             raise ValueError("every duration must cover at least one bin")
         if self.noise not in (None, "poisson"):
             raise ValueError("noise must be null or 'poisson'")
-        if self.trials_per_cell < 1:
-            raise ValueError("trials_per_cell must be at least 1")
+        if type(self.trials_per_cell) is not int or self.trials_per_cell < 1:
+            raise ValueError("trials_per_cell must be an integer of at least 1")
 
 
 def default_scenario(**overrides) -> Scenario:
@@ -114,6 +115,7 @@ def _lm_estimate(hist) -> RateEstimate:
     tau_seed = mean_dwell(hist)
     if not (0.0 < est.tau_hat < LM_TAU_SANITY_FACTOR * tau_seed):
         est.converged = False
+        est.diagnostics["sanity_rejected"] = True
     return est
 
 
@@ -162,7 +164,6 @@ def run_trial(
     trial_index: int,
     *,
     models: dict | None = None,
-    ga_config: ga_mod.GaConfig | None = None,
 ) -> dict[str, RateEstimate]:
     """One seeded trial: simulate a trace, then analyze_trace it."""
     if method not in METHODS:
@@ -173,25 +174,19 @@ def run_trial(
     model = EmitterModel(tau_on=scenario.tau_on, tau_off=scenario.tau_off)
     trace = generate_trace(model, duration, scenario.bin_width, scenario.noise, rng=seed)
     state_models = models[duration] if method == "mfr" else None
-    _, estimates = analyze_trace(trace, method, seed, models=state_models, ga_config=ga_config)
+    _, estimates = analyze_trace(trace, method, seed, models=state_models)
     return estimates
 
 
 def train_mfr_models(
-    scenario: Scenario,
-    durations=None,
-    *,
-    tau_range: tuple[float, float] = mfr_mod.DEFAULT_TAU_RANGE,
-    count: int = mfr_mod.DEFAULT_TRAINING_SETS,
+    scenario: Scenario, *, count: int = mfr_mod.DEFAULT_TRAINING_SETS
 ) -> dict[float, dict[str, mfr_mod.MfrModel]]:
-    """Train one (on, off) model pair per duration, with derived seeds."""
-    if durations is None:
-        durations = scenario.durations
+    """Train one (on, off) model pair per scenario duration, with derived seeds."""
     models = {}
-    for duration in durations:
+    for duration in scenario.durations:
         rng = np.random.default_rng(stable_seed(scenario.base_seed, "mfr-train", duration))
         corpus_on, corpus_off = mfr_mod.generate_training_corpus(
-            tau_range,
+            mfr_mod.DEFAULT_TAU_RANGE,
             count,
             duration,
             bin_width=scenario.bin_width,
@@ -225,10 +220,8 @@ def precision(estimates) -> float | None:
 
 
 def _trial_task(args):
-    scenario, duration, method, index, models, ga_config = args
-    return (method, duration, index), run_trial(
-        scenario, duration, method, index, models=models, ga_config=ga_config
-    )
+    scenario, duration, method, index, models = args
+    return (method, duration, index), run_trial(scenario, duration, method, index, models=models)
 
 
 def collect_trials(
@@ -236,31 +229,21 @@ def collect_trials(
     methods=METHODS,
     *,
     models=None,
-    ga_config=None,
-    trials: int | None = None,
     workers: int | None = None,
 ):
     """All trial estimates for the grid, keyed by (method, duration, index)."""
-    if trials is None:
-        trials = scenario.trials_per_cell
     if workers is None:
         workers = int(os.environ.get("BLINKFIT_THREADS", "1"))
     tasks = [
-        (scenario, duration, method, index, models if method == "mfr" else None, ga_config)
+        (scenario, duration, method, index, models if method == "mfr" else None)
         for method in methods
         for duration in scenario.durations
-        for index in range(trials)
+        for index in range(scenario.trials_per_cell)
     ]
-    results = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, value in pool.map(_trial_task, tasks, chunksize=8):
-                results[key] = value
-    else:
-        for task in tasks:
-            key, value = _trial_task(task)
-            results[key] = value
-    return results
+            return dict(pool.map(_trial_task, tasks, chunksize=8))
+    return dict(map(_trial_task, tasks))
 
 
 def sweep(
@@ -268,8 +251,6 @@ def sweep(
     methods=METHODS,
     *,
     models=None,
-    ga_config=None,
-    trials: int | None = None,
     workers: int | None = None,
 ) -> list[BenchCell]:
     """Aggregate the full methods x durations x states grid into cells.
@@ -278,11 +259,8 @@ def sweep(
     but still count towards the convergence rate; a cell with convergence
     rate below one half is marked blank.
     """
-    if trials is None:
-        trials = scenario.trials_per_cell
-    raw = collect_trials(
-        scenario, methods, models=models, ga_config=ga_config, trials=trials, workers=workers
-    )
+    trials = scenario.trials_per_cell
+    raw = collect_trials(scenario, methods, models=models, workers=workers)
     cells = []
     for method in methods:
         for duration in scenario.durations:

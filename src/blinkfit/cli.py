@@ -211,6 +211,8 @@ def _cmd_bench(args) -> int:
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         return _Parser._fail(f"bad scenario: {exc}")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    if not methods:
+        return _Parser._fail(f"--methods {args.methods!r} names no method")
     for m in methods:
         if m not in bench_mod.METHODS:
             return _Parser._fail(f"unknown method {m!r}")

@@ -92,16 +92,14 @@ def generate_trace(
     bin_width: float,
     photon_noise: str | None = "poisson",
     rng=None,
-    *,
-    mean_on_counts: float = DEFAULT_MEAN_ON_COUNTS,
-    mean_off_counts: float = DEFAULT_MEAN_OFF_COUNTS,
 ) -> BlinkTrace:
     """Simulate a blinking time trace.
 
     The initial state is drawn from the stationary occupancy
     tau_on/(tau_on+tau_off); on/off dwells then alternate until the
     requested duration is covered.  A bin fully inside one state gets that
-    state's mean count level; a bin straddling a transition gets the
+    state's mean count level (DEFAULT_MEAN_ON_COUNTS or
+    DEFAULT_MEAN_OFF_COUNTS); a bin straddling a transition gets the
     time-weighted mixture, and its hidden state is the state occupying the
     majority of the bin.  With photon_noise="poisson", counts are Poisson
     draws around the expected level; with None they are the expectation
@@ -121,10 +119,8 @@ def generate_trace(
         raise ValueError("duration and bin_width must be positive")
     if duration < bin_width:
         raise ValueError("duration must cover at least one bin")
-    if photon_noise not in (None, "none", "poisson"):
+    if photon_noise not in (None, "poisson"):
         raise ValueError("photon_noise must be None or 'poisson'")
-    if not mean_on_counts > mean_off_counts:
-        raise ValueError("mean_on_counts must exceed mean_off_counts")
 
     generator, seed = _as_rng(rng)
     n_bins = int(round(duration / bin_width))
@@ -143,7 +139,8 @@ def generate_trace(
         on = not on
 
     on_frac = np.clip(on_time / bin_width, 0.0, 1.0)
-    expected = mean_off_counts + (mean_on_counts - mean_off_counts) * on_frac
+    lo, hi = DEFAULT_MEAN_OFF_COUNTS, DEFAULT_MEAN_ON_COUNTS
+    expected = lo + (hi - lo) * on_frac
     if photon_noise == "poisson":
         counts = generator.poisson(expected).astype(float)
     else:
@@ -152,8 +149,6 @@ def generate_trace(
     return BlinkTrace(
         bin_width=bin_width,
         counts=counts,
-        mean_on_counts=mean_on_counts,
-        mean_off_counts=mean_off_counts,
         truth=(model.tau_on, model.tau_off),
         seed=seed,
         hidden_states=on_frac > 0.5,
@@ -196,13 +191,29 @@ def write_trace(trace: BlinkTrace, path) -> None:
     path.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
+def _read_sidecar(sidecar: Path) -> dict:
+    """Load a trace's JSON sidecar; the errors below name the file.
+
+    bin_width_s must hold a number, the other numeric keys a number or null.
+    """
+    meta = json.loads(sidecar.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar {sidecar} must be a JSON object")
+    if meta.get("bin_width_s") is None:
+        raise ValueError(f"sidecar {sidecar} lacks bin_width_s")
+    for key in ("bin_width_s", "mean_on_counts", "mean_off_counts", "tau_on_s", "tau_off_s"):
+        if meta.get(key) is not None and type(meta[key]) not in (int, float):
+            raise ValueError(f"sidecar {sidecar}: {key} must be a number, got {meta[key]!r}")
+    return meta
+
+
 def read_trace(path) -> BlinkTrace:
     """Read a trace written by write_trace (sidecar JSON required).
 
     Counts must be finite, and the first and last t_s must equal row index
     x bin_width_s from the sidecar, so gapped files and mismatched sidecars
     are rejected.  Only those two t_s values are parsed.  Errors name the
-    line of the file.
+    line of the file, or the sidecar (see _read_sidecar).
     """
     path = Path(path)
     counts = []
@@ -226,7 +237,7 @@ def read_trace(path) -> BlinkTrace:
                 raise ValueError(f"malformed trace row at line {lineno} of {path}") from exc
             if first_t is None:
                 first_t = fields[0]
-    meta = json.loads(path.with_suffix(".json").read_text())
+    meta = _read_sidecar(path.with_suffix(".json"))
     truth = None
     if meta.get("tau_on_s") is not None and meta.get("tau_off_s") is not None:
         truth = (meta["tau_on_s"], meta["tau_off_s"])

@@ -8,7 +8,8 @@ either yield a lifetime estimate from the tightest cluster of the winner
 or are replaced by two independently mutated clones of the winner.
 Accepted estimates accumulate until their rolling window stabilizes; an
 exhausted iteration budget instead returns a weighted blend of the
-estimate log.
+estimate log.  A caller sets only GaConfig's tau_range and max_iterations;
+every other hyperparameter is a module constant.
 """
 
 from __future__ import annotations
@@ -25,54 +26,37 @@ from .errors import DegenerateClusterError, InsufficientDataError, NoEstimateErr
 from .estimate import RateEstimate
 
 _LN2 = math.log(2.0)
+K_INIT = 3
+K_MAX = 8
+K_PATIENCE = 20
+SILHOUETTE_THRESHOLD = 0.6
+SUBSET_FRACTION = 0.7
+MUTATION_RATE = 0.05
+ELITISM_PENALTY_WEIGHT = 0.5
+ROLLING_WINDOW = 10
+STABILITY_REL_TOL = 0.02
+# weights of the estimate log's (final, mean, mode, median) in the blend
+# returned when max_iterations runs out before the estimate stabilizes
+BLEND_WEIGHTS = (0.4, 0.2, 0.2, 0.2)
+# K-means stops once no point is reassigned and no centroid moves further
+REASSIGNMENT_TOL = 0.0
+MOVEMENT_TOL = 1e-9
+KMEANS_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Full hyperparameter set of the genetic algorithm.
-
-    tau_range is the user-mandated strict bound on the lifetime (seconds);
-    everything else has conventional defaults.  blend_weights weight the
-    (final, mean, mode, median) of the estimate log when the iteration
-    budget runs out before the rolling estimate stabilizes.
-    """
+    """The user-mandated strict lifetime bound (seconds) and the generation cap."""
 
     tau_range: tuple[float, float]
-    k_init: int = 3
-    silhouette_threshold: float = 0.6
-    subset_fraction: float = 0.7
-    mutation_rate: float = 0.05
-    elitism_penalty_weight: float = 0.5
-    rolling_window: int = 10
-    stability_rel_tol: float = 0.02
     max_iterations: int = 500
-    blend_weights: tuple[float, float, float, float] = (0.4, 0.2, 0.2, 0.2)
-    k_patience: int = 20
-    k_max: int = 8
-    reassignment_tol: float = 0.0
-    movement_tol: float = 1e-9
-    kmeans_max_iter: int = 50
 
     def __post_init__(self):
         lo, hi = self.tau_range
         if not 0 < lo < hi:
             raise ValueError("tau_range must satisfy 0 < lo < hi")
-        if self.k_init < 2:
-            raise ValueError("k_init must be at least 2")
-        if not 0 < self.silhouette_threshold < 1:
-            raise ValueError("silhouette_threshold must lie in (0, 1)")
-        if not 0 < self.subset_fraction <= 1:
-            raise ValueError("subset_fraction must lie in (0, 1]")
-        if not 0 <= self.mutation_rate <= 1:
-            raise ValueError("mutation_rate must lie in [0, 1]")
-        if self.elitism_penalty_weight < 0:
-            raise ValueError("elitism_penalty_weight must be non-negative")
-        if self.rolling_window < 2:
-            raise ValueError("rolling_window must be at least 2")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if min(self.blend_weights) < 0 or not math.isclose(sum(self.blend_weights), 1.0):
-            raise ValueError("blend_weights must be non-negative and sum to 1")
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer of at least 1")
 
     def to_json(self, path) -> None:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -198,15 +182,13 @@ def kmeans_cluster(
     k: int,
     rng: np.random.Generator,
     *,
-    reassignment_tol: float = 0.0,
-    movement_tol: float = 1e-9,
-    max_iter: int = 50,
     n_init: int = 1,
 ) -> Clustering:
     """Lloyd iterations from a K-means++ seed, minimizing the potential.
 
     Stops once the fraction of reassigned points and the largest centroid
-    displacement both fall within tolerance (or at the iteration cap).
+    displacement fall within REASSIGNMENT_TOL and MOVEMENT_TOL (or after
+    KMEANS_MAX_ITER iterations).
     Empty clusters are repaired by seizing the point currently farthest
     from its own centroid.  With n_init > 1 the best of several seeded runs
     (lowest potential) is returned.
@@ -221,7 +203,7 @@ def kmeans_cluster(
         centroids = kmeanspp_init(pts, k, rng)
         labels, phi = _assign(pts, centroids)
         history = [phi]
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             new_centroids = centroids.copy()
             for j in range(k):
                 mask = labels == j
@@ -234,7 +216,7 @@ def kmeans_cluster(
             reassigned = float((new_labels != labels).mean())
             centroids, labels = new_centroids, new_labels
             history.append(phi_new)
-            if reassigned <= reassignment_tol and moved <= movement_tol:
+            if reassigned <= REASSIGNMENT_TOL and moved <= MOVEMENT_TOL:
                 break
         # duplicate points can leave assignment ties that starve a cluster
         # for good; a final seize pass guarantees every cluster is occupied
@@ -407,14 +389,14 @@ def _candidate_tau(points: np.ndarray, clustering: Clustering, bin_width: float)
     return None, None
 
 
-def _blend(estimates: list[float], weights, bin_width: float) -> float:
+def _blend(estimates: list[float], bin_width: float) -> float:
     last = estimates[-1]
     mean = float(np.mean(estimates))
     median = float(np.median(estimates))
     rounded = np.rint(np.asarray(estimates) / bin_width).astype(int)
     values, counts = np.unique(rounded, return_counts=True)
     mode = float(values[counts.argmax()] * bin_width)
-    w_final, w_mean, w_mode, w_median = weights
+    w_final, w_mean, w_mode, w_median = BLEND_WEIGHTS
     return w_final * last + w_mean * mean + w_mode * mode + w_median * median
 
 
@@ -429,16 +411,16 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     winner above the silhouette threshold contributes the lifetime of its
     tightest cluster to the estimate log and the population is respawned;
     otherwise two independently mutated clones of the winner form the next
-    generation.  After every k_patience consecutive sub-threshold
-    generations the cluster count steps through [2, min(k_max, subset
-    size)].  Returns the rolling median once the last
-    rolling_window accepted estimates agree to stability_rel_tol, or the
-    blended estimate log at the iteration cap.  The result is always
-    clamped to tau_range.
+    generation.  After every K_PATIENCE consecutive sub-threshold
+    generations the cluster count steps through [2, min(K_MAX, subset
+    size)].  Returns the rolling median once the last ROLLING_WINDOW
+    accepted estimates agree to STABILITY_REL_TOL, or the blended
+    estimate log at config.max_iterations.  The result is always clamped
+    to config.tau_range.
     """
     generator = np.random.default_rng(rng)
     m = len(hist)
-    subset_size = int(math.ceil(config.subset_fraction * m))
+    subset_size = int(math.ceil(SUBSET_FRACTION * m))
     if m < 2 or subset_size < 2:
         raise InsufficientDataError(
             f"histogram with {m} pairs is too small to spawn individuals"
@@ -452,11 +434,10 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     log_rows: list[tuple[int, float, float, int]] = []
     pairs = hist.pairs()
 
-    k = max(2, min(config.k_init, config.k_max, subset_size))
+    k = max(2, min(K_INIT, subset_size))
+    k_hi = max(2, min(K_MAX, subset_size))
     streak = 0
-    individuals = [
-        spawn_individual(hist, config.subset_fraction, generator) for _ in range(2)
-    ]
+    individuals = [spawn_individual(hist, SUBSET_FRACTION, generator) for _ in range(2)]
     termination = "max_iterations"
     tau_final = None
     std_err = 0.0
@@ -465,59 +446,49 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
         scored = []
         for ind in individuals:
             points = pairs[ind]
-            clustering = kmeans_cluster(
-                _normalize(points),
-                k,
-                generator,
-                reassignment_tol=config.reassignment_tol,
-                movement_tol=config.movement_tol,
-                max_iter=config.kmeans_max_iter,
-            )
+            clustering = kmeans_cluster(_normalize(points), k, generator)
             sil = silhouette(clustering).mean_score
             tau_c, _ = _candidate_tau(points, clustering, hist.bin_width)
             if tau_c is None:
                 # no usable cluster: worst-case penalty keeps such solutions
                 # from outcompeting extractable ones
-                score = sil - config.elitism_penalty_weight
+                score = sil - ELITISM_PENALTY_WEIGHT
             else:
-                ref = float(np.mean(estimates[-config.rolling_window :]))
-                score = sil - config.elitism_penalty_weight * abs(tau_c - ref) / ref
+                ref = float(np.mean(estimates[-ROLLING_WINDOW :]))
+                score = sil - ELITISM_PENALTY_WEIGHT * abs(tau_c - ref) / ref
             scored.append((score, sil, tau_c, ind))
         top = max(range(2), key=lambda i: scored[i][0])
         score, sil, tau_c, winner = scored[top]
 
-        if score > config.silhouette_threshold and tau_c is not None:
+        if score > SILHOUETTE_THRESHOLD and tau_c is not None:
             estimates.append(tau_c)
             log_rows.append((iteration, tau_c, sil, k))
             streak = 0
-            if len(estimates) >= config.rolling_window:
-                window = np.asarray(estimates[-config.rolling_window :])
+            if len(estimates) >= ROLLING_WINDOW:
+                window = np.asarray(estimates[-ROLLING_WINDOW :])
                 med = float(np.median(window))
-                if med > 0 and (window.max() - window.min()) / med <= config.stability_rel_tol:
+                if med > 0 and (window.max() - window.min()) / med <= STABILITY_REL_TOL:
                     tau_final = med
                     std_err = float(window.std(ddof=1) / math.sqrt(window.size))
                     termination = "stability"
                     break
-            individuals = [
-                spawn_individual(hist, config.subset_fraction, generator) for _ in range(2)
-            ]
+            individuals = [spawn_individual(hist, SUBSET_FRACTION, generator) for _ in range(2)]
         else:
             streak += 1
             child_a, child_b = crossover_clone_exchange(winner, generator)
             individuals = [
-                mutate(child_a, hist, config.mutation_rate, generator),
-                mutate(child_b, hist, config.mutation_rate, generator),
+                mutate(child_a, hist, MUTATION_RATE, generator),
+                mutate(child_b, hist, MUTATION_RATE, generator),
             ]
-            if streak >= config.k_patience:
-                # cycle the cluster count through [2, min(k_max, subset size)]
-                k_hi = max(2, min(config.k_max, subset_size))
+            if streak >= K_PATIENCE:
+                # cycle the cluster count through [2, k_hi]
                 k = k + 1 if k < k_hi else 2
                 streak = 0
 
     if tau_final is None:
         if not np.all(np.isfinite(estimates)):
             raise NoEstimateError("estimate log is not finite")
-        tau_final = _blend(estimates, config.blend_weights, hist.bin_width)
+        tau_final = _blend(estimates, hist.bin_width)
         if len(estimates) >= 2:
             std_err = float(np.std(estimates, ddof=1) / math.sqrt(len(estimates)))
 

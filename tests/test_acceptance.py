@@ -97,9 +97,7 @@ def _estimates(method, duration, models=None):
     key = (method, duration)
     if key not in _cache:
         scenario = replace(SCENARIO, durations=(duration,))
-        raw = bench.collect_trials(
-            scenario, (method,), models=models, trials=TRIALS, workers=WORKERS
-        )
+        raw = bench.collect_trials(scenario, (method,), models=models, workers=WORKERS)
         _cache[key] = {
             state: [raw[(method, duration, i)][state] for i in range(TRIALS)]
             for state in ("on", "off")
@@ -177,7 +175,7 @@ def _check_data_efficiency(name, method, *, models=None, why):
 
 @pytest.fixture(scope="module")
 def mfr_models():
-    return train_mfr_models(SCENARIO, durations=(0.2, 2.0, 20.0))
+    return train_mfr_models(replace(SCENARIO, durations=(0.2, 2.0, 20.0)))
 
 
 class TestCriterion1MfrDataEfficiency:
@@ -436,9 +434,7 @@ class TestCriterion7Determinism:
         for run_dir in ("r1", "r2"):
             out = tmp_path / run_dir
             out.mkdir()
-            cells = bench.sweep(
-                scenario, ("lm", "mfr", "ga"), models=mfr_models, trials=3
-            )
+            cells = bench.sweep(scenario, ("lm", "mfr", "ga"), models=mfr_models)
             bench.write_results_csv(cells, out / "results.csv")
             bench.write_heatmap_csv(cells, "on", out / "heatmap_on.csv")
             bench.write_heatmap_csv(cells, "off", out / "heatmap_off.csv")
@@ -540,8 +536,8 @@ class TestCriterion8Invariants:
 class TestGa200sExample:
     def test_long_trace_median_error(self):
         """The 200 s reference point: median error within 15% over 50 seeds."""
-        scenario = replace(SCENARIO, durations=(200.0,))
-        raw = bench.collect_trials(scenario, ("ga",), trials=50, workers=WORKERS)
+        scenario = replace(SCENARIO, durations=(200.0,), trials_per_cell=50)
+        raw = bench.collect_trials(scenario, ("ga",), workers=WORKERS)
         errs = [
             abs(raw[("ga", 200.0, i)]["on"].tau_hat - 15e-3) / 15e-3 for i in range(50)
         ]

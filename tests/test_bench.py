@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,19 +109,19 @@ class TestRunTrial:
 class TestSweep:
     def test_grid_shape(self, small_scenario, small_models):
         cells = sweep(
-            small_scenario, ("lm", "mfr"), models=small_models, trials=2
+            replace(small_scenario, trials_per_cell=2), ("lm", "mfr"), models=small_models
         )
         assert len(cells) == 2 * 2 * 2  # methods x durations x states
         keys = {(c.method, c.state, c.duration) for c in cells}
         assert len(keys) == len(cells)
 
     def test_single_trial_precision_undefined(self, small_scenario):
-        cells = sweep(small_scenario, ("lm",), trials=1)
+        cells = sweep(replace(small_scenario, trials_per_cell=1), ("lm",))
         assert all(c.precision is None for c in cells)
 
     def test_order_invariance_and_csv_determinism(self, tmp_path, small_scenario):
-        cells_a = sweep(small_scenario, ("lm",), trials=3)
-        cells_b = sweep(small_scenario, ("lm",), trials=3)
+        cells_a = sweep(small_scenario, ("lm",))
+        cells_b = sweep(small_scenario, ("lm",))
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_results_csv(cells_a, pa)
         write_results_csv(cells_b, pb)
@@ -140,7 +142,7 @@ class TestSweep:
         assert cell.blank
 
     def test_heatmap_csv_layout(self, tmp_path, small_scenario):
-        cells = sweep(small_scenario, ("lm",), trials=2)
+        cells = sweep(replace(small_scenario, trials_per_cell=2), ("lm",))
         path = tmp_path / "heat_on.csv"
         write_heatmap_csv(cells, "on", path)
         lines = path.read_text().splitlines()
@@ -148,8 +150,9 @@ class TestSweep:
         assert lines[1].startswith("lm,")
 
     def test_collect_trials_parallel_matches_serial(self, small_scenario):
-        serial = collect_trials(small_scenario, ("lm",), trials=2, workers=1)
-        parallel = collect_trials(small_scenario, ("lm",), trials=2, workers=2)
+        scenario = replace(small_scenario, trials_per_cell=2)
+        serial = collect_trials(scenario, ("lm",), workers=1)
+        parallel = collect_trials(scenario, ("lm",), workers=2)
         assert serial.keys() == parallel.keys()
         for key in serial:
             for state in ("on", "off"):

@@ -100,6 +100,14 @@ class TestAnalyze:
         assert run(["analyze", "--trace", str(bad), "--method", "lm"]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_bad_sidecar_reports_file(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("t_s,counts\n0.0,5\n0.001,7\n")
+        trace.with_suffix(".json").write_text('{"bin_width_s": "0.001"}')
+        assert run(["analyze", "--trace", str(trace), "--method", "lm"]) == 1
+        err = capsys.readouterr().err
+        assert "t.json" in err and "bin_width_s" in err
+
     def test_ga_deterministic_report(self, tmp_path, capsys):
         trace = tmp_path / "short.csv"
         assert run(["simulate", "--duration", "5s", "--seed", "2", "--out", str(trace)]) == 0
@@ -132,12 +140,19 @@ class TestSharedPipeline:
 
     def test_lm_sanity_rule_rejects_off_state(self, trace_2s, tmp_path):
         # the off-state fit diverges (tau far beyond 100x the mean dwell)
+        from blinkfit.bench import analyze_trace
+        from blinkfit.cli import DEFAULT_SEED
+        from blinkfit.emitter import read_trace
+
         report = tmp_path / "r.json"
         code = run(["analyze", "--trace", str(trace_2s), "--method", "lm", "--report", str(report)])
         assert code == 2
         payload = json.loads(report.read_text())
         assert payload["off_converged"] is False
         assert payload["on_converged"] is True
+        _, estimates = analyze_trace(read_trace(trace_2s), "lm", DEFAULT_SEED)
+        assert estimates["off"].diagnostics["sanity_rejected"] is True
+        assert "sanity_rejected" not in estimates["on"].diagnostics
 
     @pytest.mark.parametrize("method", ["lm", "ga"])
     def test_report_matches_bench_function(self, trace_2s, tmp_path, method):
@@ -292,6 +307,12 @@ class TestBench:
     def test_unknown_method(self, tmp_path):
         assert run(["bench", "--methods", "magic", "--out", str(tmp_path / "o")]) == 1
 
+    def test_empty_method_list(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["bench", "--methods", ",", "--out", str(out)]) == 1
+        assert "names no method" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_scenario_presets_load(self):
         from blinkfit.cli import _load_scenario
 
@@ -308,6 +329,9 @@ class TestBench:
             ({"bin_width": 0.0}, "must be positive"),
             ({"durations": [0.5e-3, 2.0]}, "at least one bin"),
             ({"noise": "gaussian"}, "noise"),
+            ({"durations": [0.2, 0.2]}, "strictly increasing"),
+            ({"durations": []}, "non-empty"),
+            ({"trials_per_cell": 1.5}, "trials_per_cell"),
         ],
     )
     def test_bad_scenario(self, tmp_path, capsys, payload, message):

@@ -139,3 +139,20 @@ class TestTraceIO:
         path.with_suffix(".json").write_text(json.dumps({"bin_width_s": bin_width}))
         with pytest.raises(ValueError, match=f"line {line} "):
             read_trace(path)
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ({"tau_on_s": 0.015}, "lacks bin_width_s"),
+            ([0.001], "must be a JSON object"),
+            ({"bin_width_s": "0.001"}, "bin_width_s must be a number"),
+        ],
+        ids=["missing-bin-width", "list", "string-bin-width"],
+    )
+    def test_bad_sidecar_named(self, tmp_path, sidecar, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_s,counts\n0.0,1\n0.001,2\n")
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=message) as info:
+            read_trace(path)
+        assert str(path.with_suffix(".json")) in str(info.value)
