@@ -208,7 +208,7 @@ def _cmd_bench(args) -> int:
         return _Parser._fail(f"output directory not writable: {exc}")
     try:
         scenario = _load_scenario(args.scenario, args.trials)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         return _Parser._fail(f"bad scenario: {exc}")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if not methods:

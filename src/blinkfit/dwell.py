@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .emitter import BlinkTrace
 from .errors import EmptyHistogramError, NoSeparationError
@@ -100,6 +99,20 @@ def binarize(trace: BlinkTrace, threshold: float) -> StateSequence:
     return StateSequence(trace.bin_width, trace.counts > threshold)
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of x.
+
+    A run of equal values is a peak when the step before it rises and the
+    step after it falls; it is reported by its middle bin, rounded down.  A
+    run that reaches either end of x is not a peak.
+    """
+    step = np.diff(x)
+    steps = np.flatnonzero(step)
+    rise = step[steps] > 0
+    keep = rise[:-1] & ~rise[1:]
+    return (steps[:-1][keep] + 1 + steps[1:][keep]) // 2
+
+
 def auto_threshold(trace: BlinkTrace) -> float:
     """Place a threshold at the midpoint of the two count-histogram modes.
 
@@ -117,8 +130,7 @@ def auto_threshold(trace: BlinkTrace) -> float:
 
     main = int(np.argmax(smooth))
     # zero-pad so modes at the first/last count value are still peaks
-    peaks, _ = find_peaks(np.concatenate([[0.0], smooth, [0.0]]))
-    peaks -= 1
+    peaks = _local_maxima(np.concatenate([[0.0], smooth, [0.0]])) - 1
     candidates = sorted(p for p in set(peaks) | {main} if p != main and smooth[p] > 0)
 
     best = None

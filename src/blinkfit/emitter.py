@@ -194,9 +194,13 @@ def write_trace(trace: BlinkTrace, path) -> None:
 def _read_sidecar(sidecar: Path) -> dict:
     """Load a trace's JSON sidecar; the errors below name the file.
 
-    bin_width_s must hold a number, the other numeric keys a number or null.
+    bin_width_s must hold a positive number, the other numeric keys a
+    number or null.
     """
-    meta = json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"sidecar {sidecar} must be a JSON object")
     if meta.get("bin_width_s") is None:
@@ -204,6 +208,9 @@ def _read_sidecar(sidecar: Path) -> dict:
     for key in ("bin_width_s", "mean_on_counts", "mean_off_counts", "tau_on_s", "tau_off_s"):
         if meta.get(key) is not None and type(meta[key]) not in (int, float):
             raise ValueError(f"sidecar {sidecar}: {key} must be a number, got {meta[key]!r}")
+    width = meta["bin_width_s"]
+    if not width > 0:  # also NaN, which json.loads accepts
+        raise ValueError(f"sidecar {sidecar}: bin_width_s must be positive, got {width}")
     return meta
 
 

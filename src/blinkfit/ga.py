@@ -119,14 +119,12 @@ def heuristic_estimate(hist: DwellHistogram, tau_range: tuple[float, float]) -> 
     return float(min(max(np.median([c1, c2, c3]), lo), hi))
 
 
-def spawn_individual(
-    hist: DwellHistogram, subset_fraction: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Sorted indices of ceil(fraction * |pairs|) distinct rows of hist.pairs()."""
+def spawn_individual(hist: DwellHistogram, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of ceil(SUBSET_FRACTION * |pairs|) distinct rows of hist.pairs()."""
     m = len(hist)
     if m == 0:
         raise InsufficientDataError("cannot spawn an individual from an empty histogram")
-    size = int(math.ceil(subset_fraction * m))
+    size = int(math.ceil(SUBSET_FRACTION * m))
     return np.sort(rng.choice(m, size=size, replace=False))
 
 
@@ -292,12 +290,9 @@ def crossover_clone_exchange(
 
 
 def mutate(
-    individual: np.ndarray,
-    hist: DwellHistogram,
-    mutation_rate: float,
-    rng: np.random.Generator,
+    individual: np.ndarray, hist: DwellHistogram, rng: np.random.Generator
 ) -> np.ndarray:
-    """Replace each index, with probability mutation_rate, by an unused one.
+    """Replace each index, with probability MUTATION_RATE, by an unused one.
 
     Replacements are drawn uniformly from the rows of hist.pairs() not
     already in the individual; when none remain the index is kept.
@@ -306,7 +301,7 @@ def mutate(
     used[individual] = True
     pool = np.flatnonzero(~used).tolist()
     out = individual.copy()
-    flags = rng.random(len(out)) < mutation_rate
+    flags = rng.random(len(out)) < MUTATION_RATE
     for slot in np.flatnonzero(flags):
         if not pool:
             break
@@ -437,7 +432,7 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     k = max(2, min(K_INIT, subset_size))
     k_hi = max(2, min(K_MAX, subset_size))
     streak = 0
-    individuals = [spawn_individual(hist, SUBSET_FRACTION, generator) for _ in range(2)]
+    individuals = [spawn_individual(hist, generator) for _ in range(2)]
     termination = "max_iterations"
     tau_final = None
     std_err = 0.0
@@ -472,13 +467,13 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
                     std_err = float(window.std(ddof=1) / math.sqrt(window.size))
                     termination = "stability"
                     break
-            individuals = [spawn_individual(hist, SUBSET_FRACTION, generator) for _ in range(2)]
+            individuals = [spawn_individual(hist, generator) for _ in range(2)]
         else:
             streak += 1
             child_a, child_b = crossover_clone_exchange(winner, generator)
             individuals = [
-                mutate(child_a, hist, MUTATION_RATE, generator),
-                mutate(child_b, hist, MUTATION_RATE, generator),
+                mutate(child_a, hist, generator),
+                mutate(child_b, hist, generator),
             ]
             if streak >= K_PATIENCE:
                 # cycle the cluster count through [2, k_hi]

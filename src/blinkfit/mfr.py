@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dwell import DwellHistogram, binarize, dwell_histogram
 from .emitter import (
@@ -258,7 +257,8 @@ def train_model(
     reg[0] = 0.0  # bias unpenalized
     A = X.T @ X + np.diag(reg)
     try:
-        weights = cho_solve(cho_factor(A), X.T @ y)
+        np.linalg.cholesky(A)  # A must be positive definite, not merely invertible
+        weights = np.linalg.solve(A, X.T @ y)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError("normal equations are singular") from exc
     return MfrModel(weights, n, bin_width, trained_duration, ridge_lambda)

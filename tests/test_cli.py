@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,24 @@ from blinkfit.cli import main, parse_time
 
 def run(args):
     return main(args)
+
+
+class TestImport:
+    def test_cli_imports_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test oracle only
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, blinkfit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestParseTime:

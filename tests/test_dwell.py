@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from blinkfit.dwell import (
     DwellHistogram,
     StateSequence,
+    _local_maxima,
     auto_threshold,
     binarize,
     dwell_histogram,
@@ -73,6 +74,33 @@ class TestAutoThreshold:
         seq = binarize(trace, thr)
         mismatch = (seq.states != trace.hidden_states).mean()
         assert mismatch < 0.01
+
+
+class TestLocalMaxima:
+    @pytest.mark.parametrize(
+        "x, peaks",
+        [
+            ([0, 1, 0], [1]),
+            ([0, 2, 2, 0], [1]),  # 2-bin plateau: its left bin
+            ([0, 2, 2, 2, 1], [2]),  # 3-bin plateau: its middle bin
+            ([0, 1, 1, 2, 0], [3]),  # shoulder (rise, flat, rise) is no peak
+            ([0, 1, 2, 2], []),  # plateau running into the end
+            ([2, 2, 1, 0], []),  # plateau running into the start
+            ([0, 3, 1, 3, 0], [1, 3]),
+            ([], []),
+            ([5], []),
+        ],
+    )
+    def test_plateaus(self, x, peaks):
+        np.testing.assert_array_equal(_local_maxima(np.asarray(x, dtype=float)), peaks)
+
+    def test_matches_scipy_find_peaks(self):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            # few levels, so plateaus, shoulders and edge runs are common
+            x = rng.integers(0, 4, size=int(rng.integers(0, 30))).astype(float)
+            np.testing.assert_array_equal(_local_maxima(x), signal.find_peaks(x)[0])
 
 
 class TestDwellHistogram:

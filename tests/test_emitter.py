@@ -146,13 +146,24 @@ class TestTraceIO:
             ({"tau_on_s": 0.015}, "lacks bin_width_s"),
             ([0.001], "must be a JSON object"),
             ({"bin_width_s": "0.001"}, "bin_width_s must be a number"),
+            ({"bin_width_s": 0}, "bin_width_s must be positive"),
+            ('{"bin_width_s": NaN}', "bin_width_s must be positive"),
+            ('{"bin_width_s": 0\n', "not valid JSON"),
         ],
-        ids=["missing-bin-width", "list", "string-bin-width"],
+        ids=[
+            "missing-bin-width",
+            "list",
+            "string-bin-width",
+            "zero-bin-width",
+            "nan-bin-width",
+            "malformed",
+        ],
     )
     def test_bad_sidecar_named(self, tmp_path, sidecar, message):
         path = tmp_path / "trace.csv"
         path.write_text("t_s,counts\n0.0,1\n0.001,2\n")
-        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        text = sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
+        path.with_suffix(".json").write_text(text)
         with pytest.raises(ValueError, match=message) as info:
             read_trace(path)
         assert str(path.with_suffix(".json")) in str(info.value)

@@ -10,6 +10,8 @@ from blinkfit.dwell import DwellHistogram, auto_threshold, binarize, dwell_histo
 from blinkfit.emitter import EmitterModel, generate_trace
 from blinkfit.errors import DegenerateClusterError, InsufficientDataError
 from blinkfit.ga import (
+    MUTATION_RATE,
+    SUBSET_FRACTION,
     Clustering,
     GaConfig,
     crossover_clone_exchange,
@@ -75,26 +77,27 @@ class TestHeuristic:
 class TestSpawn:
     def test_cardinality(self):
         h = hist({i: 1 for i in range(1, 11)})
-        ind = spawn_individual(h, 0.7, np.random.default_rng(0))
-        assert len(ind) == 7
+        ind = spawn_individual(h, np.random.default_rng(0))
+        assert len(ind) == math.ceil(SUBSET_FRACTION * 10) == 7
         assert np.all(np.diff(ind) > 0)  # sorted and distinct
         assert 0 <= ind.min() and ind.max() < len(h)
 
     def test_full_fraction(self):
-        h = hist({i: 1 for i in range(1, 11)})
-        ind = spawn_individual(h, 1.0, np.random.default_rng(0))
+        # ceil(0.7 * 3) = 3: a 3-row histogram gives a saturated individual
+        h = hist({1: 1, 2: 1, 3: 1})
+        ind = spawn_individual(h, np.random.default_rng(0))
         np.testing.assert_array_equal(ind, np.arange(len(h)))
 
     def test_seeds_differ(self):
         h = hist({i: 1 for i in range(1, 11)})
-        a = spawn_individual(h, 0.7, np.random.default_rng(1))
-        b = spawn_individual(h, 0.7, np.random.default_rng(2))
+        a = spawn_individual(h, np.random.default_rng(1))
+        b = spawn_individual(h, np.random.default_rng(2))
         assert not np.array_equal(a, b)
 
     def test_empty_histogram(self):
         h = DwellHistogram("on", 1e-3, np.array([], dtype=int), np.array([], dtype=int))
         with pytest.raises(InsufficientDataError):
-            spawn_individual(h, 0.7, np.random.default_rng(0))
+            spawn_individual(h, np.random.default_rng(0))
 
 
 class TestKmeansPP:
@@ -245,10 +248,15 @@ class TestSilhouette:
             silhouette(clustering)
 
 
+def flagged_slots(size, seed):
+    """How many slots mutate flags: its first draw, replayed."""
+    return int((np.random.default_rng(seed).random(size) < MUTATION_RATE).sum())
+
+
 class TestCrossoverMutate:
     def test_clones_are_parent_copies_and_mutants_are_new(self):
-        h = hist({i: i + 1 for i in range(1, 41)})
-        ind = spawn_individual(h, 0.5, np.random.default_rng(0))
+        h = hist({i: i + 1 for i in range(1, 201)})
+        ind = spawn_individual(h, np.random.default_rng(0))  # 140 of 200 rows
         for seed in range(20):
             a, b = crossover_clone_exchange(ind, np.random.default_rng(seed))
             np.testing.assert_array_equal(a, ind)
@@ -256,14 +264,15 @@ class TestCrossoverMutate:
             assert not np.shares_memory(a, ind)
             assert not np.shares_memory(b, ind)
             assert not np.shares_memory(a, b)
-            out = mutate(a, h, 0.5, np.random.default_rng(seed))
+            out = mutate(a, h, np.random.default_rng(seed))
             np.testing.assert_array_equal(a, ind)  # mutate leaves its input alone
             assert len(out) == len(ind)
             assert np.all(np.diff(out) > 0)  # sorted and distinct
             assert 0 <= out.min() and out.max() < len(h)
-            # the pool (20 unused rows) outlasts the flagged slots, so every
+            # the pool (60 unused rows) outlasts the flagged slots, so every
             # flagged slot must bring in an index the parent did not hold
-            flagged = int((np.random.default_rng(seed).random(len(ind)) < 0.5).sum())
+            flagged = flagged_slots(len(ind), seed)
+            assert flagged <= len(h) - len(ind)
             assert len(np.setdiff1d(out, ind)) == flagged
 
     def test_single_point_individual(self):
@@ -272,34 +281,40 @@ class TestCrossoverMutate:
         np.testing.assert_array_equal(a, ind)
         np.testing.assert_array_equal(b, ind)
 
-    def test_mutate_zero_rate_is_identity(self):
+    def test_mutate_without_flags_is_identity(self):
         h = hist({i: 1 for i in range(1, 11)})
-        ind = spawn_individual(h, 0.7, np.random.default_rng(3))
-        out = mutate(ind, h, 0.0, np.random.default_rng(4))
-        np.testing.assert_array_equal(out, ind)
+        ind = spawn_individual(h, np.random.default_rng(3))
+        unflagged = [seed for seed in range(20) if flagged_slots(len(ind), seed) == 0]
+        assert unflagged
+        for seed in unflagged:
+            np.testing.assert_array_equal(mutate(ind, h, np.random.default_rng(seed)), ind)
 
     def test_mutate_saturated_histogram_is_identity(self):
-        h = hist({i: 1 for i in range(1, 6)})
-        ind = spawn_individual(h, 1.0, np.random.default_rng(0))
-        out = mutate(ind, h, 1.0, np.random.default_rng(1))
-        np.testing.assert_array_equal(out, ind)
+        h = hist({1: 1, 2: 1, 3: 1})
+        ind = spawn_individual(h, np.random.default_rng(0))
+        np.testing.assert_array_equal(ind, np.arange(3))
+        # no unused row is left to swap in, flagged or not
+        assert any(flagged_slots(len(ind), seed) for seed in range(50))
+        for seed in range(50):
+            np.testing.assert_array_equal(mutate(ind, h, np.random.default_rng(seed)), ind)
 
     def test_mutate_binomial_mean(self):
         h = hist({i: 1 for i in range(1, 201)})
-        ind = spawn_individual(h, 0.5, np.random.default_rng(7))  # 100 points
+        ind = spawn_individual(h, np.random.default_rng(7))  # 140 points
         total = 0
         runs = 2000
         for seed in range(runs):
-            out = mutate(ind, h, 0.05, np.random.default_rng(seed))
+            out = mutate(ind, h, np.random.default_rng(seed))
             total += len(np.setdiff1d(out, ind))
-        assert total / runs == pytest.approx(5.0, abs=0.5)
+        assert total / runs == pytest.approx(len(ind) * MUTATION_RATE, abs=0.5)
 
     def test_mutated_points_stay_in_histogram(self):
         h = hist({i: 2 * i for i in range(1, 20)})
-        ind = spawn_individual(h, 0.6, np.random.default_rng(1))
-        out = mutate(ind, h, 0.8, np.random.default_rng(2))
-        assert 0 <= out.min() and out.max() < len(h)
-        assert len(np.unique(out)) == len(ind)
+        ind = spawn_individual(h, np.random.default_rng(1))
+        for seed in range(20):
+            out = mutate(ind, h, np.random.default_rng(seed))
+            assert 0 <= out.min() and out.max() < len(h)
+            assert len(np.unique(out)) == len(ind)
 
 
 class TestExtractTau:

@@ -62,6 +62,18 @@ class TestTrain:
         with pytest.raises(RankDeficientError):
             train(corpus, ridge_lambda=0.0)
 
+    def test_collinear_float_features_without_ridge(self):
+        # N >= n + 1, but x3 = 0.1 x1 + 0.3 x2, so X^T X is singular up to
+        # rounding: the Cholesky guard must refuse it, where a plain solve
+        # returns arbitrary weights
+        rng = np.random.default_rng(7)
+        X = np.ones((10, 4))
+        X[:, 1:3] = rng.integers(0, 8, size=(10, 2))
+        X[:, 3] = 0.1 * X[:, 1] + 0.3 * X[:, 2]
+        corpus = TrainingSet(X, 1e-3 + 0.05 * rng.random(10))
+        with pytest.raises(RankDeficientError):
+            train(corpus, ridge_lambda=0.0)
+
     def test_single_point_with_ridge(self):
         x = np.array([1.0, 2.0, 0.0])
         corpus = TrainingSet([x], np.array([10.0]))
