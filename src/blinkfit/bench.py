@@ -182,26 +182,17 @@ def train_mfr_models(
     scenario: Scenario, *, count: int = mfr_mod.DEFAULT_TRAINING_SETS
 ) -> dict[float, dict[str, mfr_mod.MfrModel]]:
     """Train one (on, off) model pair per scenario duration, with derived seeds."""
-    models = {}
-    for duration in scenario.durations:
-        rng = np.random.default_rng(stable_seed(scenario.base_seed, "mfr-train", duration))
-        corpus_on, corpus_off = mfr_mod.generate_training_corpus(
+    return {
+        duration: mfr_mod.train_pair(
             mfr_mod.DEFAULT_TAU_RANGE,
             count,
             duration,
             bin_width=scenario.bin_width,
             photon_noise=scenario.noise,
-            rng=rng,
+            rng=np.random.default_rng(stable_seed(scenario.base_seed, "mfr-train", duration)),
         )
-        models[duration] = {
-            "on": mfr_mod.train_model(
-                corpus_on, bin_width=scenario.bin_width, trained_duration=duration
-            ),
-            "off": mfr_mod.train_model(
-                corpus_off, bin_width=scenario.bin_width, trained_duration=duration
-            ),
-        }
-    return models
+        for duration in scenario.durations
+    }
 
 
 def accuracy(tau_hat: float, tau_true: float) -> float:

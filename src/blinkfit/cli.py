@@ -165,17 +165,15 @@ def _cmd_train_mfr(args) -> int:
             "entirely to the ridge prior",
             file=sys.stderr,
         )
-    corpus_on, corpus_off = mfr_mod.generate_training_corpus(
+    models = mfr_mod.train_pair(
         (args.tau_min, args.tau_max),
         args.count,
         args.duration,
         bin_width=args.bin_width,
+        photon_noise="poisson",
         rng=args.seed,
     )
-    for state, corpus in (("on", corpus_on), ("off", corpus_off)):
-        model = mfr_mod.train_model(
-            corpus, bin_width=args.bin_width, trained_duration=args.duration
-        )
+    for state, model in models.items():
         path = f"{args.out}_{state}.json"
         model.save(path)
         print(f"wrote {path} (n={model.n}, duration={args.duration} s)")

@@ -39,7 +39,6 @@ STABILITY_REL_TOL = 0.02
 # returned when max_iterations runs out before the estimate stabilizes
 BLEND_WEIGHTS = (0.4, 0.2, 0.2, 0.2)
 # K-means stops once no point is reassigned and no centroid moves further
-REASSIGNMENT_TOL = 0.0
 MOVEMENT_TOL = 1e-9
 KMEANS_MAX_ITER = 50
 
@@ -89,15 +88,6 @@ class Clustering:
     potential: float
     phi_history: list[float] = field(default_factory=list)
     points: np.ndarray | None = None
-
-    def members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == j)
-
-
-@dataclass(eq=False)
-class SilhouetteReport:
-    per_point: np.ndarray
-    mean_score: float
 
 
 def heuristic_estimate(hist: DwellHistogram, tau_range: tuple[float, float]) -> float:
@@ -175,66 +165,54 @@ def _seize_empty(pts, centroids, labels) -> None:
             dist_own[farthest] = -1.0
 
 
-def kmeans_cluster(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    *,
-    n_init: int = 1,
-) -> Clustering:
+def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator) -> Clustering:
     """Lloyd iterations from a K-means++ seed, minimizing the potential.
 
-    Stops once the fraction of reassigned points and the largest centroid
-    displacement fall within REASSIGNMENT_TOL and MOVEMENT_TOL (or after
-    KMEANS_MAX_ITER iterations).
-    Empty clusters are repaired by seizing the point currently farthest
-    from its own centroid.  With n_init > 1 the best of several seeded runs
-    (lowest potential) is returned.
+    Stops once no point is reassigned and no centroid moves further than
+    MOVEMENT_TOL (or after KMEANS_MAX_ITER iterations).  Empty clusters
+    are repaired by seizing the point currently farthest from its own
+    centroid.
     """
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     if m < k or k < 1:
         raise ValueError(f"need at least {k} points for {k} clusters, got {m}")
 
-    best = None
-    for _ in range(max(n_init, 1)):
-        centroids = kmeanspp_init(pts, k, rng)
-        labels, phi = _assign(pts, centroids)
-        history = [phi]
-        for _ in range(KMEANS_MAX_ITER):
-            new_centroids = centroids.copy()
-            for j in range(k):
-                mask = labels == j
-                if mask.any():
-                    new_centroids[j] = pts[mask].mean(axis=0)
-            # repair empty clusters before the next assignment
-            _seize_empty(pts, new_centroids, labels)
-            new_labels, phi_new = _assign(pts, new_centroids)
-            moved = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-            reassigned = float((new_labels != labels).mean())
-            centroids, labels = new_centroids, new_labels
-            history.append(phi_new)
-            if reassigned <= REASSIGNMENT_TOL and moved <= MOVEMENT_TOL:
-                break
-        # duplicate points can leave assignment ties that starve a cluster
-        # for good; a final seize pass guarantees every cluster is occupied
-        if len(np.unique(labels)) < k:
-            _seize_empty(pts, centroids, labels)
-            history.append(float(((pts - centroids[labels]) ** 2).sum()))
-        result = Clustering(
-            k=k,
-            centroids=centroids,
-            assignment=labels.copy(),
-            potential=float(history[-1]),
-            phi_history=[float(p) for p in history],
-            points=pts,
-        )
-        if best is None or result.potential < best.potential:
-            best = result
-    return best
+    centroids = kmeanspp_init(pts, k, rng)
+    labels, phi = _assign(pts, centroids)
+    history = [phi]
+    for _ in range(KMEANS_MAX_ITER):
+        new_centroids = centroids.copy()
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                new_centroids[j] = pts[mask].mean(axis=0)
+        # repair empty clusters before the next assignment
+        _seize_empty(pts, new_centroids, labels)
+        new_labels, phi_new = _assign(pts, new_centroids)
+        moved = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        unchanged = np.array_equal(new_labels, labels)
+        centroids, labels = new_centroids, new_labels
+        history.append(phi_new)
+        if unchanged and moved <= MOVEMENT_TOL:
+            break
+    # duplicate points can leave assignment ties that starve a cluster
+    # for good; a final seize pass occupies every cluster when there are
+    # at least k distinct points
+    if len(np.unique(labels)) < k:
+        _seize_empty(pts, centroids, labels)
+        history.append(float(((pts - centroids[labels]) ** 2).sum()))
+    return Clustering(
+        k=k,
+        centroids=centroids,
+        assignment=labels.copy(),
+        potential=float(history[-1]),
+        phi_history=[float(p) for p in history],
+        points=pts,
+    )
 
 
-def silhouette(clustering: Clustering) -> SilhouetteReport:
+def silhouette(clustering: Clustering) -> np.ndarray:
     """Per-point silhouette values for a clustering with k >= 2.
 
     s(i) compares the mean distance to the point's own cluster a(i) with
@@ -257,19 +235,13 @@ def silhouette(clustering: Clustering) -> SilhouetteReport:
     mean_to = dist @ onehot / sizes
     own_size = sizes[labels]
     # a(i): own-cluster mean excluding the zero self-distance
+    a = mean_to[np.arange(m), labels] * own_size / np.maximum(own_size - 1, 1)
+    b = np.where(onehot.astype(bool), np.inf, mean_to).min(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        a = mean_to[np.arange(m), labels] * own_size / np.maximum(own_size - 1, 1)
-    other = np.where(onehot.astype(bool), np.inf, mean_to)
-    b = other.min(axis=1)
-    scores = np.zeros(m)
-    singleton = own_size == 1
-    regular = ~singleton
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s_low = 1.0 - a / b
-        s_high = b / a - 1.0
-    scores[regular & (a < b)] = s_low[regular & (a < b)]
-    scores[regular & (a > b)] = s_high[regular & (a > b)]
-    return SilhouetteReport(per_point=scores, mean_score=float(scores.mean()))
+        scores = np.where(a < b, 1.0 - a / b, b / a - 1.0)
+    # singletons score 0, and so does a = b (where b / a - 1 is NaN if a = b = 0)
+    scores[(own_size == 1) | (a == b)] = 0.0
+    return scores
 
 
 def crossover_clone_exchange(
@@ -353,35 +325,25 @@ def _normalize(points: np.ndarray) -> np.ndarray:
     return (pts - lo) / span
 
 
-def _cluster_tightness(clustering: Clustering) -> np.ndarray:
-    """Mean member distance to centroid, per cluster."""
-    out = np.empty(clustering.k)
-    for j in range(clustering.k):
-        members = clustering.members(j)
-        d = np.sqrt(
-            ((clustering.points[members] - clustering.centroids[j]) ** 2).sum(axis=1)
-        )
-        out[j] = d.mean() if members.size else np.inf
-    return out
-
-
 def _candidate_tau(points: np.ndarray, clustering: Clustering, bin_width: float):
     """Extract a lifetime from the tightest extractable cluster.
 
-    Clusters are tried in order of increasing mean intra-cluster distance
-    (lowest index on ties); degenerate clusters fall through to the next.
-    Returns (tau, cluster_index) or (None, None).
+    Clusters are tried in order of increasing mean member distance to
+    their centroid (lowest index on ties); degenerate clusters fall
+    through to the next.  Returns the lifetime or None.
     """
-    tightness = _cluster_tightness(clustering)
+    labels = clustering.assignment
+    own = np.sqrt(((clustering.points - clustering.centroids[labels]) ** 2).sum(axis=1))
+    tightness = [own[labels == j].mean() for j in range(clustering.k)]
     for j in np.argsort(tightness, kind="stable"):
-        members = clustering.members(int(j))
-        if members.size < 2:
+        members = labels == j
+        if members.sum() < 2:
             continue
         try:
-            return extract_tau(points[members], bin_width), int(j)
+            return extract_tau(points[members], bin_width)
         except (DegenerateClusterError, ValueError):
             continue
-    return None, None
+    return None
 
 
 def _blend(estimates: list[float], bin_width: float) -> float:
@@ -442,8 +404,8 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
         for ind in individuals:
             points = pairs[ind]
             clustering = kmeans_cluster(_normalize(points), k, generator)
-            sil = silhouette(clustering).mean_score
-            tau_c, _ = _candidate_tau(points, clustering, hist.bin_width)
+            sil = float(silhouette(clustering).mean())
+            tau_c = _candidate_tau(points, clustering, hist.bin_width)
             if tau_c is None:
                 # no usable cluster: worst-case penalty keeps such solutions
                 # from outcompeting extractable ones
@@ -452,8 +414,7 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
                 ref = float(np.mean(estimates[-ROLLING_WINDOW :]))
                 score = sil - ELITISM_PENALTY_WEIGHT * abs(tau_c - ref) / ref
             scored.append((score, sil, tau_c, ind))
-        top = max(range(2), key=lambda i: scored[i][0])
-        score, sil, tau_c, winner = scored[top]
+        score, sil, tau_c, winner = max(scored, key=lambda s: s[0])
 
         if score > SILHOUETTE_THRESHOLD and tau_c is not None:
             estimates.append(tau_c)

@@ -238,21 +238,25 @@ def train_model(
 
     Minimizes sum_i (w.x_i - tau_i)^2 + ridge_lambda * ||w_1..n||^2 (the
     bias weight is unpenalized) via the normal equations.  With
-    ridge_lambda = 0 the system is singular whenever N < n + 1, which is
-    reported as RankDeficientError.  The model records the bin width and
-    trace duration it is calibrated for.
+    ridge_lambda = 0 the system is singular whenever the feature matrix
+    has rank below n + 1 (always so when N < n + 1), which is reported as
+    RankDeficientError.  The model records the bin width and trace
+    duration it is calibrated for.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be non-negative")
     if corpus.N < 1:
         raise ValueError("training corpus is empty")
     n = corpus.n
-    if ridge_lambda == 0.0 and corpus.N < n + 1:
-        raise RankDeficientError(
-            f"{corpus.N} training sets cannot determine {n + 1} weights without ridge"
-        )
     X = corpus.matrix()
     y = corpus.labels
+    if ridge_lambda == 0.0:
+        rank = np.linalg.matrix_rank(X)
+        if rank < n + 1:
+            raise RankDeficientError(
+                f"{corpus.N} training sets of rank {rank} cannot determine "
+                f"{n + 1} weights without ridge"
+            )
     reg = np.full(n + 1, ridge_lambda)
     reg[0] = 0.0  # bias unpenalized
     A = X.T @ X + np.diag(reg)
@@ -262,3 +266,22 @@ def train_model(
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError("normal equations are singular") from exc
     return MfrModel(weights, n, bin_width, trained_duration, ridge_lambda)
+
+
+def train_pair(
+    tau_range: tuple[float, float],
+    N: int,
+    trace_duration: float,
+    *,
+    bin_width: float,
+    photon_noise: str | None,
+    rng,
+) -> dict[str, MfrModel]:
+    """Train the on- and off-state models on one simulated corpus."""
+    corpora = generate_training_corpus(
+        tau_range, N, trace_duration, bin_width=bin_width, photon_noise=photon_noise, rng=rng
+    )
+    return {
+        state: train_model(corpus, bin_width=bin_width, trained_duration=trace_duration)
+        for state, corpus in zip(("on", "off"), corpora)
+    }

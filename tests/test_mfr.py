@@ -74,6 +74,18 @@ class TestTrain:
         with pytest.raises(RankDeficientError):
             train(corpus, ridge_lambda=0.0)
 
+    def test_collinear_float_features_over_many_seeds(self):
+        # the same collinear x3 over 200 corpora: at some seeds rounding
+        # leaves X^T X positive definite, so only a rank test refuses all
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            X = np.ones((10, 4))
+            X[:, 1:3] = rng.integers(0, 8, size=(10, 2))
+            X[:, 3] = 0.1 * X[:, 1] + 0.3 * X[:, 2]
+            corpus = TrainingSet(X, 1e-3 + 0.05 * rng.random(10))
+            with pytest.raises(RankDeficientError):
+                train(corpus, ridge_lambda=0.0)
+
     def test_single_point_with_ridge(self):
         x = np.array([1.0, 2.0, 0.0])
         corpus = TrainingSet([x], np.array([10.0]))
