@@ -14,6 +14,8 @@ every other hyperparameter is a module constant.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -118,6 +120,17 @@ def spawn_individual(hist: DwellHistogram, rng: np.random.Generator) -> np.ndarr
     return np.sort(rng.choice(m, size=size, replace=False))
 
 
+def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """rng.choice(len(p), p=p) without choice's argument checks.
+
+    The same single uniform draw, mapped through the same normalised cdf,
+    so the index and the generator's state after the draw are the same.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-weighted centroid seeding.
 
@@ -138,7 +151,7 @@ def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         if total <= 0.0:
             idx = rng.integers(m)
         else:
-            idx = rng.choice(m, p=d2 / total)
+            idx = _draw_index(d2 / total, rng)
         centroids[j] = pts[idx]
         d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
     return centroids
@@ -146,8 +159,7 @@ def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 
 def _assign(pts, centroids):
     d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    return labels, d2[np.arange(pts.shape[0]), labels].sum()
+    return d2.argmin(axis=1), d2.min(axis=1).sum()
 
 
 def _seize_empty(pts, centroids, labels) -> None:
@@ -168,38 +180,54 @@ def _seize_empty(pts, centroids, labels) -> None:
 def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator) -> Clustering:
     """Lloyd iterations from a K-means++ seed, minimizing the potential.
 
-    Stops once no point is reassigned and no centroid moves further than
-    MOVEMENT_TOL (or after KMEANS_MAX_ITER iterations).  Empty clusters
-    are repaired by seizing the point currently farthest from its own
-    centroid.
+    Each update takes every centroid at once from per-cluster sums and
+    member counts (np.bincount, which adds members in point order as
+    mean(axis=0) does).  Stops once no point is reassigned and no centroid
+    moves further than MOVEMENT_TOL (or after KMEANS_MAX_ITER iterations).
+    An empty cluster keeps its centroid until it seizes the point
+    currently farthest from its own centroid.  Fewer than k distinct
+    points raise ValueError.
     """
     pts = np.asarray(points, dtype=float)
-    m = pts.shape[0]
+    m, d = pts.shape
     if m < k or k < 1:
         raise ValueError(f"need at least {k} points for {k} clusters, got {m}")
 
     centroids = kmeanspp_init(pts, k, rng)
     labels, phi = _assign(pts, centroids)
     history = [phi]
+    coords = pts.ravel()
     for _ in range(KMEANS_MAX_ITER):
-        new_centroids = centroids.copy()
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new_centroids[j] = pts[mask].mean(axis=0)
-        # repair empty clusters before the next assignment
-        _seize_empty(pts, new_centroids, labels)
+        counts = np.bincount(labels, minlength=k)
+        # bin j * d + c sums coordinate c over the members of cluster j
+        flat = (labels[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(flat, weights=coords, minlength=k * d).reshape(k, d)
+        if counts.all():
+            new_centroids = sums / counts[:, None]
+        else:
+            filled = counts > 0
+            new_centroids = centroids.copy()
+            new_centroids[filled] = sums[filled] / counts[filled, None]
+            # repair empty clusters before the next assignment
+            _seize_empty(pts, new_centroids, labels)
         new_labels, phi_new = _assign(pts, new_centroids)
-        moved = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        unchanged = np.array_equal(new_labels, labels)
+        settled = (new_labels == labels).all() and (
+            np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max() <= MOVEMENT_TOL
+        )
         centroids, labels = new_centroids, new_labels
         history.append(phi_new)
-        if unchanged and moved <= MOVEMENT_TOL:
+        if settled:
             break
-    # duplicate points can leave assignment ties that starve a cluster
-    # for good; a final seize pass occupies every cluster when there are
-    # at least k distinct points
-    if len(np.unique(labels)) < k:
+    # an assignment gives identical points one label, so fewer than k
+    # distinct points always leave a cluster empty here; with at least k,
+    # ties between centroids can starve one, and a final seize pass
+    # occupies every cluster
+    if not np.bincount(labels, minlength=k).all():
+        distinct = len(np.unique(pts, axis=0))
+        if distinct < k:
+            raise ValueError(
+                f"need at least {k} distinct points for {k} clusters, got {distinct}"
+            )
         _seize_empty(pts, centroids, labels)
         history.append(float(((pts - centroids[labels]) ** 2).sum()))
     return Clustering(
@@ -281,6 +309,33 @@ def mutate(
     return np.sort(out)
 
 
+def _median_rows(rows) -> tuple[float, float, float]:
+    """D_M, C_M and C_max of a cluster's (duration, count) rows.
+
+    Rows are sorted by duration, then count; M is the lower
+    occurrence-weighted median row and C_max the count of the last row.
+    Plain Python numbers, so screening a cluster costs no numpy call; the
+    running totals add in row order, as a cumsum does.  Raises ValueError
+    or DegenerateClusterError when the rows cannot give a lifetime.
+    """
+    if len(rows) < 2:
+        raise ValueError("cluster must contain at least two (duration, count) points")
+    if min(c for _, c in rows) <= 0:
+        raise ValueError("occurrence counts must be positive")
+    rows = sorted(rows)
+    if rows[0][0] == rows[-1][0]:
+        raise ValueError("cluster must span at least two distinct durations")
+    cum = list(itertools.accumulate(c for _, c in rows))
+    d_m, c_m = rows[bisect.bisect_left(cum, cum[-1] / 2.0)]
+    # max-duration point; ties broken towards the higher count (sort order)
+    c_max = rows[-1][1]
+    if c_max == c_m:
+        raise DegenerateClusterError(
+            "median and maximum-duration counts coincide; decay rate undefined"
+        )
+    return d_m, c_m, c_max
+
+
 def extract_tau(points: np.ndarray, bin_width: float) -> float:
     """Convert a winning cluster to a lifetime.
 
@@ -295,25 +350,10 @@ def extract_tau(points: np.ndarray, bin_width: float) -> float:
     longest point carries the lowest count.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+    if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("cluster must contain at least two (duration, count) points")
-    if np.any(pts[:, 1] <= 0):
-        raise ValueError("occurrence counts must be positive")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    if np.unique(pts[:, 0]).size < 2:
-        raise ValueError("cluster must span at least two distinct durations")
-    cum = np.cumsum(pts[:, 1])
-    median_idx = int(np.searchsorted(cum, cum[-1] / 2.0))
-    d_m = pts[median_idx, 0] * bin_width
-    c_m = pts[median_idx, 1]
-    # max-duration point; ties broken towards the higher count (sort order)
-    c_max = pts[-1, 1]
-    if c_max == c_m:
-        raise DegenerateClusterError(
-            "median and maximum-duration counts coincide; decay rate undefined"
-        )
-    return float(d_m / (_LN2 * abs(math.log(c_max) - math.log(c_m))))
+    d_m, c_m, c_max = _median_rows(pts.tolist())
+    return float(d_m * bin_width / (_LN2 * abs(math.log(c_max) - math.log(c_m))))
 
 
 def _normalize(points: np.ndarray) -> np.ndarray:
@@ -329,21 +369,32 @@ def _candidate_tau(points: np.ndarray, clustering: Clustering, bin_width: float)
     """Extract a lifetime from the tightest extractable cluster.
 
     Clusters are tried in order of increasing mean member distance to
-    their centroid (lowest index on ties); degenerate clusters fall
-    through to the next.  Returns the lifetime or None.
+    their centroid (lowest index on ties).  Clusters that _median_rows,
+    the checks inside extract_tau, rejects are dropped before any
+    tightness is computed, so extract_tau is called at most once, on the
+    cluster it returns for, and tightness only when at least two clusters
+    remain.  Returns the lifetime or None.
     """
     labels = clustering.assignment
-    own = np.sqrt(((clustering.points - clustering.centroids[labels]) ** 2).sum(axis=1))
-    tightness = [own[labels == j].mean() for j in range(clustering.k)]
-    for j in np.argsort(tightness, kind="stable"):
-        members = labels == j
-        if members.sum() < 2:
-            continue
+    members: list[list] = [[] for _ in range(clustering.k)]
+    for label, row in zip(labels.tolist(), points.tolist()):
+        members[label].append(row)
+    candidates = []
+    for j, rows in enumerate(members):
         try:
-            return extract_tau(points[members], bin_width)
+            _median_rows(rows)
         except (DegenerateClusterError, ValueError):
             continue
-    return None
+        candidates.append(j)
+    if not candidates:
+        return None
+    best = candidates[0]
+    if len(candidates) > 1:
+        own = np.sqrt(((clustering.points - clustering.centroids[labels]) ** 2).sum(axis=1))
+        # a per-cluster mean, not a bincount: over 8 or more members .mean()
+        # sums pairwise, and a last-bit change could reorder near-ties
+        best = min(candidates, key=lambda j: own[labels == j].mean())
+    return extract_tau(points[labels == best], bin_width)
 
 
 def _blend(estimates: list[float], bin_width: float) -> float:

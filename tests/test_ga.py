@@ -162,6 +162,24 @@ class TestKmeans:
             assert all(b <= a + 1e-9 for a, b in zip(phis, phis[1:]))
             assert result.potential <= phis[0] + 1e-9
 
+    def test_fewer_than_k_distinct_points_raise(self):
+        # small grids make duplicate points and tied centroids common
+        rng = np.random.default_rng(0)
+        outcomes = {True: 0, False: 0}
+        for seed in range(5000):
+            m = int(rng.integers(3, 12))
+            pts = rng.integers(0, 3, size=(m, 2)).astype(float)
+            k = int(rng.integers(1, m + 1))
+            enough = len(np.unique(pts, axis=0)) >= k
+            outcomes[enough] += 1
+            if enough:
+                result = kmeans_cluster(pts, k, np.random.default_rng(seed))
+                assert np.bincount(result.assignment, minlength=k).all()
+            else:
+                with pytest.raises(ValueError, match="distinct points"):
+                    kmeans_cluster(pts, k, np.random.default_rng(seed))
+        assert min(outcomes.values()) > 1000
+
     def test_matches_brute_force_on_four_points(self):
         # fixed 100-instance random suite, phi within 1e-9 of exhaustive optimum
         for seed in range(100):
