@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -87,6 +88,60 @@ class TestGenerateTrace:
             generate_trace(make_model(), 1.0, 1e-3, "gaussian", rng=1)
 
 
+# Lifetime pairs for the pin below; (0.3 ms, 2 ms) puts most on-dwells
+# inside one 1 ms bin.
+PIN_LIFETIMES = [(15e-3, 45e-3), (4.8e-3, 6.7e-3), (0.3e-3, 2e-3), (50e-3, 8e-3)]
+
+
+def _digest_trace(h, trace):
+    h.update(trace.counts.tobytes())
+    h.update(trace.hidden_states.tobytes())
+
+
+class TestGenerateTracePin:
+    """Pin generate_trace's output bits and its use of a passed Generator.
+
+    The digests were taken from the per-dwell loop that draws one
+    exponential per dwell; any rewrite of the simulator must reproduce
+    them exactly.
+    """
+
+    def test_seed_grid_digest(self):
+        h = hashlib.sha256()
+        for tau_on, tau_off in PIN_LIFETIMES:
+            model = make_model(tau_on, tau_off)
+            for duration in (0.2, 2.0, 20.0):
+                for noise in ("poisson", None):
+                    for seed in range(20):
+                        _digest_trace(h, generate_trace(model, duration, 1e-3, noise, rng=seed))
+        assert h.hexdigest() == (
+            "ce0b541398fd2dbf7dd2691d73e1c6b105a362fa9f6c650e576c98af4bcf27d8"
+        )
+
+    def test_long_trace_digest(self):
+        h = hashlib.sha256()
+        _digest_trace(h, generate_trace(make_model(), 1000.0, 1e-3, "poisson", rng=2023))
+        assert h.hexdigest() == (
+            "148c583087e07494a0c65d1a1e1af792c7b2040cbdcb1c00be12305e68e979ce"
+        )
+
+    def test_shared_generator_state_digest(self):
+        # one Generator through many traces, as generate_training_corpus
+        # passes it: each trace must leave the state where the next expects it
+        h = hashlib.sha256()
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for tau_on, tau_off in PIN_LIFETIMES:
+                for duration in (0.2, 2.0):
+                    trace = generate_trace(make_model(tau_on, tau_off), duration, 1e-3, "poisson", rng=rng)
+                    _digest_trace(h, trace)
+                    h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+                    assert trace.seed is None
+        assert h.hexdigest() == (
+            "a995441f182a785feeeb7c362437751d2e67179b2832f96c8d6b5e88ffb553b2"
+        )
+
+
 class TestModelValidation:
     def test_positive_lifetimes_required(self):
         with pytest.raises(ValueError):
@@ -123,6 +178,101 @@ class TestTraceIO:
         path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
         with pytest.raises(ValueError, match="non-finite count at line 4"):
             read_trace(path)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0.0,12\n0.001,3,4\n0.002,5\n", 3),
+            ("0.0,12\n0.001,3,\n0.002,5\n", 3),
+            ("0.0,12\n7\n0.002,5\n", 3),
+            ("0.0,12\n0.001,3#4\n0.002,5\n", 3),
+            ("0.0,1\n\n0.001,oops\n", 4),
+            ("0.0,1\r\n\r\n0.001,2,3\r\n", 4),
+            ("0.0,1\n  \n0.001,\n", 4),
+        ],
+        ids=[
+            "three-fields",
+            "trailing-comma",
+            "one-field",
+            "hash-in-count",
+            "blank-then-malformed",
+            "crlf-malformed",
+            "spaces-then-empty-count",
+        ],
+    )
+    def test_malformed_row_message(self, tmp_path, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("t_s,counts\n" + body).encode())
+        path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        with pytest.raises(ValueError) as info:
+            read_trace(path)
+        assert str(info.value) == f"malformed trace row at line {line} of {path}"
+
+    @pytest.mark.parametrize(
+        "body, counts",
+        [
+            ("0.0, 12 \n0.001,\t3\n0.002 ,4\n", [12.0, 3.0, 4.0]),
+            ("0.0,12\r\n0.001,3\r\n", [12.0, 3.0]),
+            ("0.0,12\n0.001,3\n\n", [12.0, 3.0]),
+            ("0.0,12\n\n  \n0.001,3\n \n", [12.0, 3.0]),
+            ("0.0,7\n", [7.0]),
+            ("0.0,7", [7.0]),
+            ("0.0,12\n# 0.001,3\n0.002,5\n", [12.0, 3.0, 5.0]),
+            ("0.0,1_000\n", [1000.0]),
+            ("0.0,1.5e1\n0.001,+2.\n0.002,inf\n", None),
+        ],
+        ids=[
+            "spaces-around-count",
+            "crlf",
+            "trailing-blank-line",
+            "whitespace-lines",
+            "one-row",
+            "one-row-no-newline",
+            "hash-is-not-a-comment",
+            "digit-separator",
+            "inf-is-parsed-then-refused",
+        ],
+    )
+    def test_accepted_rows(self, tmp_path, body, counts):
+        path = tmp_path / "ok.csv"
+        path.write_bytes(("t_s,counts\n" + body).encode())
+        path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        if counts is None:
+            with pytest.raises(ValueError) as info:
+                read_trace(path)
+            assert str(info.value) == f"non-finite count at line 4 of {path}"
+            return
+        trace = read_trace(path)
+        np.testing.assert_array_equal(trace.counts, counts)
+        assert trace.counts.dtype == np.float64
+
+    def test_non_finite_count_after_blank_lines(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t_s,counts\n\n0.0,12\n \n\n0.001,-inf\n0.002,3\n")
+        path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        with pytest.raises(ValueError) as info:
+            read_trace(path)
+        assert str(info.value) == f"non-finite count at line 6 of {path}"
+
+    @pytest.mark.parametrize(
+        "body, text, line, index, expected",
+        [
+            ("\n 0.004,1\n0.005,2\n", "0.004", 3, 0, "0.0"),
+            ("0.0,1\n\n0.001,2\n\n0.005,3\n\n", "0.005", 6, 2, "0.002"),
+            ("0.0,1\r\n0.001,2\r\n0.007 ,3\r\n \r\n", "0.007 ", 4, 2, "0.002"),
+        ],
+        ids=["leading-blank", "blank-lines-before-last", "crlf-last"],
+    )
+    def test_time_axis_message(self, tmp_path, body, text, line, index, expected):
+        path = tmp_path / "gapped.csv"
+        path.write_bytes(("t_s,counts\n" + body).encode())
+        path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        with pytest.raises(ValueError) as info:
+            read_trace(path)
+        assert str(info.value) == (
+            f"t_s {text} at line {line} of {path} is not row {index} x bin_width_s "
+            f"= {expected}: the trace has gaps or the sidecar does not match"
+        )
 
     @pytest.mark.parametrize(
         "rows, bin_width, line",
