@@ -34,7 +34,6 @@ from .emitter import (
     EmitterModel,
     generate_trace,
     read_trace,
-    sample_dwell,
     write_trace,
 )
 from .errors import (

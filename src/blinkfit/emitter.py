@@ -6,6 +6,12 @@ photocounts).  Dwell times in each state are exponential with the
 state's mean lifetime, the resulting occupancy is discretized onto
 fixed-width time bins, and per-bin photocounts are emitted with optional
 Poisson shot noise.
+
+The dwells are drawn in bulk, as one array of standard exponentials
+scaled by the alternating lifetimes, and binned with a few array calls.
+For a given seed the trace is bit for bit the one a loop drawing
+``Generator.exponential(tau)`` once per dwell would give, and a passed
+Generator is left in the same state.
 """
 
 from __future__ import annotations
@@ -67,23 +73,41 @@ class BlinkTrace:
         return self.counts.size * self.bin_width
 
 
-def sample_dwell(state: str, model: EmitterModel, rng: np.random.Generator) -> float:
-    """Draw one exponential dwell duration (seconds) for the state ("on"/"off").
-
-    Each call is independent: a state change starts a fresh process that
-    remembers nothing about previous visits.
-    """
-    if state not in ("on", "off"):
-        raise ValueError("state must be 'on' or 'off'")
-    tau = model.tau_on if state == "on" else model.tau_off
-    return float(rng.exponential(tau))
-
-
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
     if isinstance(rng, np.random.Generator):
         return rng, None
     seed = int(rng) if rng is not None else None
     return np.random.default_rng(seed), seed
+
+
+def _draw_dwells(
+    generator: np.random.Generator, first_tau: float, second_tau: float, total: float
+) -> np.ndarray:
+    """Exponential dwells with means first_tau, second_tau, first_tau, ... that cover total.
+
+    The dwells are those a loop would draw with generator.exponential(tau),
+    one per dwell, while its running sum t += d is below total, and the
+    generator is left where that loop leaves it.  exponential(tau) is
+    tau * standard_exponential(), and np.cumsum adds in the loop's order.
+    So a guess at the count is drawn in bulk (redrawn at twice the size
+    until its sum covers total), the count n is read off the cumsum, and
+    the generator is rewound and advanced by exactly n draws.
+    """
+    state = generator.bit_generator.state
+    size = int(1.1 * 2 * total / (first_tau + second_tau)) + 64  # 10 % over the mean count
+    while True:
+        dwells = generator.standard_exponential(size)
+        dwells[0::2] *= first_tau
+        dwells[1::2] *= second_tau
+        ends = np.cumsum(dwells)
+        if ends[-1] >= total:
+            break
+        generator.bit_generator.state = state
+        size *= 2
+    n = int(np.searchsorted(ends, total)) + 1
+    generator.bit_generator.state = state
+    generator.standard_exponential(n)
+    return dwells[:n]
 
 
 def generate_trace(
@@ -104,6 +128,12 @@ def generate_trace(
     majority of the bin.  With photon_noise="poisson", counts are Poisson
     draws around the expected level; with None they are the expectation
     itself.  Deterministic for a given integer seed.
+
+    The dwells come from one bulk draw (_draw_dwells).  Each on-dwell adds
+    its overlap with its first and last bin, in dwell order, and the bins
+    between lie wholly inside it.  The result, and the state a passed
+    Generator is left in, are bit for bit those of drawing and binning one
+    dwell at a time.
 
     Parameters
     ----------
@@ -128,46 +158,54 @@ def generate_trace(
 
     p_on = model.tau_on / (model.tau_on + model.tau_off)
     on = bool(generator.random() < p_on)
+    taus = (model.tau_on, model.tau_off) if on else (model.tau_off, model.tau_on)
+    ends = np.cumsum(_draw_dwells(generator, *taus, total))
 
-    on_time = np.zeros(n_bins)
-    t = 0.0
-    while t < total:
-        d = sample_dwell("on" if on else "off", model, generator)
-        if on:
-            _add_interval(on_time, t, min(t + d, total), bin_width, n_bins)
-        t += d
-        on = not on
+    # the on-dwells [a, b), cut at the end of the trace, and their first
+    # (i0) and last (i1) bins
+    first = 0 if on else 1
+    a = np.concatenate(([0.0], ends[:-1]))[first::2]
+    b = np.minimum(ends[first::2], total)
+    i0 = np.minimum((a / bin_width).astype(np.int64), n_bins - 1)
+    i1 = np.minimum(np.ceil(b / bin_width).astype(np.int64) - 1, n_bins - 1)
+    within = i1 <= i0  # the dwell lies inside bin i0
 
-    on_frac = np.clip(on_time / bin_width, 0.0, 1.0)
+    # one n_bins buffer: on-time per bin, then on-fraction, expected count
+    # and counts.  Edge overlaps go in dwell order, bin i0 before bin i1;
+    # a dwell within one bin adds b - a, and 0.0 in place of its i1 term.
+    counts = np.zeros(n_bins)
+    np.add.at(
+        counts,
+        np.column_stack((i0, np.where(within, i0, i1))).ravel(),
+        np.column_stack((
+            np.where(within, b - a, (i0 + 1) * bin_width - a),
+            np.where(within, 0.0, b - i1 * bin_width),
+        )).ravel(),
+    )
+    # a bin strictly between i0 and i1 lies wholly inside one on-dwell and
+    # no other dwell reaches it, so it holds 0.0 + bin_width
+    spans = i1 > i0 + 1
+    step = np.zeros(n_bins, dtype=np.int8)
+    step[i0[spans] + 1] = 1
+    step[i1[spans]] = -1
+    counts[np.cumsum(step, dtype=np.int8).astype(bool)] = bin_width
+
+    counts /= bin_width
+    np.clip(counts, 0.0, 1.0, out=counts)
+    hidden_states = counts > 0.5
     lo, hi = DEFAULT_MEAN_OFF_COUNTS, DEFAULT_MEAN_ON_COUNTS
-    expected = lo + (hi - lo) * on_frac
+    counts *= hi - lo
+    counts += lo
     if photon_noise == "poisson":
-        counts = generator.poisson(expected).astype(float)
-    else:
-        counts = expected
+        counts[:] = generator.poisson(counts)
 
     return BlinkTrace(
         bin_width=bin_width,
         counts=counts,
         truth=(model.tau_on, model.tau_off),
         seed=seed,
-        hidden_states=on_frac > 0.5,
+        hidden_states=hidden_states,
     )
-
-
-def _add_interval(on_time, a, b, bin_width, n_bins):
-    """Accumulate the overlap of [a, b) with each bin into on_time."""
-    if b <= a:
-        return
-    i0 = min(int(a / bin_width), n_bins - 1)
-    i1 = min(int(np.ceil(b / bin_width)) - 1, n_bins - 1)
-    if i1 <= i0:
-        on_time[i0] += b - a
-        return
-    on_time[i0] += (i0 + 1) * bin_width - a
-    on_time[i1] += b - i1 * bin_width
-    if i1 > i0 + 1:
-        on_time[i0 + 1 : i1] += bin_width
 
 
 def write_trace(trace: BlinkTrace, path) -> None:
@@ -214,26 +252,35 @@ def _read_sidecar(sidecar: Path) -> dict:
     return meta
 
 
-def read_trace(path) -> BlinkTrace:
-    """Read a trace written by write_trace (sidecar JSON required).
+def _bulk_counts(path: Path, rows: int) -> np.ndarray | None:
+    """The counts column below the header in one np.loadtxt call, or None if refused.
 
-    Counts must be finite, and the first and last t_s must equal row index
-    x bin_width_s from the sidecar, so gapped files and mismatched sidecars
-    are rejected.  Only those two t_s values are parsed.  Errors name the
-    line of the file, or the sidecar (see _read_sidecar).
+    rows is the number of commas in the data.  loadtxt ignores fields
+    after the one it reads, so a count of one comma per row stands in for
+    the field check.  Data with no comma holds no valid row; it is left to
+    _scan_rows, where loadtxt would only warn of empty input.
     """
-    path = Path(path)
-    counts = []
-    blank_lines = []
-    first_t = None
+    if rows == 0:
+        return None
+    try:
+        counts = np.loadtxt(path, delimiter=",", usecols=1, comments=None, ndmin=1, skiprows=1)
+    except ValueError:
+        return None
+    return counts if counts.size == rows else None
+
+
+def _scan_rows(path: Path) -> tuple[list[float], list[int]]:
+    """Parse the data rows one at a time: the counts and each row's line number.
+
+    Blank lines are skipped.  A row that is not two fields with a count
+    that float() reads raises, naming its line.
+    """
+    counts, lines = [], []
     with path.open() as fh:
-        header = fh.readline().strip()
-        if header != "t_s,counts":
-            raise ValueError(f"unexpected trace header {header!r} in {path}")
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
-                blank_lines.append(lineno)
                 continue
             fields = line.split(",")
             if len(fields) != 2:
@@ -242,8 +289,49 @@ def read_trace(path) -> BlinkTrace:
                 counts.append(float(fields[1]))
             except ValueError as exc:
                 raise ValueError(f"malformed trace row at line {lineno} of {path}") from exc
-            if first_t is None:
-                first_t = fields[0]
+            lines.append(lineno)
+    return counts, lines
+
+
+def _edge_rows(body: str) -> list[tuple[int, str]]:
+    """Line number and t_s text of the first and the last data row.
+
+    body is the file after its header line; blank lines are skipped, as
+    _scan_rows skips them.
+    """
+    first = len(body) - len(body.lstrip())
+    last = body.rfind("\n", 0, len(body.rstrip())) + 1
+    rows = []
+    for start in (first, last):
+        end = body.find("\n", start)
+        line = body[start : end if end >= 0 else None]
+        rows.append((2 + body.count("\n", 0, start), line.strip().split(",")[0]))
+    return rows
+
+
+def read_trace(path) -> BlinkTrace:
+    """Read a trace written by write_trace (sidecar JSON required).
+
+    Counts must be finite, and the first and last t_s must equal row index
+    x bin_width_s from the sidecar, so gapped files and mismatched sidecars
+    are rejected.  Only those two t_s values are parsed.  Errors name the
+    line of the file, or the sidecar (see _read_sidecar).
+
+    The counts are parsed in one np.loadtxt call.  Only a file that call or
+    its field check refuses, or that holds a non-finite count, is scanned
+    row by row (_scan_rows): the scan names the line at fault, or reads the
+    rows as float() does where loadtxt is stricter (whitespace-only lines,
+    digit separators).
+    """
+    path = Path(path)
+    with path.open() as fh:
+        header = fh.readline().strip()
+        if header != "t_s,counts":
+            raise ValueError(f"unexpected trace header {header!r} in {path}")
+        body = fh.read()
+    counts = _bulk_counts(path, body.count(","))
+    if counts is None:
+        counts = _scan_rows(path)[0]
     meta = _read_sidecar(path.with_suffix(".json"))
     truth = None
     if meta.get("tau_on_s") is not None and meta.get("tau_off_s") is not None:
@@ -257,19 +345,12 @@ def read_trace(path) -> BlinkTrace:
         seed=meta.get("seed"),
     )
 
-    def line_of(index: int) -> int:
-        line = index + 2
-        for blank in blank_lines:
-            if blank <= line:
-                line += 1
-        return line
-
     bad = np.flatnonzero(~np.isfinite(trace.counts))
     if bad.size:
-        raise ValueError(f"non-finite count at line {line_of(bad[0])} of {path}")
-    # BlinkTrace refuses an empty trace, so fields holds the last data row
-    for index, text in ((0, first_t), (len(trace) - 1, fields[0])):
-        lineno = line_of(index)
+        lineno = _scan_rows(path)[1][bad[0]]
+        raise ValueError(f"non-finite count at line {lineno} of {path}")
+    # BlinkTrace refuses an empty trace, so body holds a first and a last row
+    for index, (lineno, text) in zip((0, len(trace) - 1), _edge_rows(body)):
         try:
             t = float(text)
         except ValueError as exc:

@@ -7,10 +7,12 @@ import pytest
 
 from blinkfit.dwell import binarize
 from blinkfit.emitter import (
+    DEFAULT_MEAN_OFF_COUNTS,
+    DEFAULT_MEAN_ON_COUNTS,
     EmitterModel,
+    _draw_dwells,
     generate_trace,
     read_trace,
-    sample_dwell,
     write_trace,
 )
 
@@ -19,23 +21,22 @@ def make_model(tau_on=15e-3, tau_off=45e-3):
     return EmitterModel(tau_on=tau_on, tau_off=tau_off)
 
 
+def draw_exponentials(tau, size, seed):
+    """The first size dwells of one bulk draw with both means equal to tau."""
+    dwells = _draw_dwells(np.random.default_rng(seed), tau, tau, 1.01 * size * tau)
+    assert dwells.size > size
+    return dwells[:size]
+
+
 class TestSampleDwell:
     def test_exponential_mean(self):
         # law of large numbers: sample mean within 0.05 ms of 15 ms
-        model = make_model()
-        rng = np.random.default_rng(123)
-        samples = np.array([sample_dwell("on", model, rng) for _ in range(10**6)])
+        samples = draw_exponentials(15e-3, 10**6, 123)
         assert abs(samples.mean() - 15e-3) < 0.05e-3
 
     def test_exponential_variance(self):
-        model = make_model()
-        rng = np.random.default_rng(456)
-        samples = np.array([sample_dwell("on", model, rng) for _ in range(10**6)])
+        samples = draw_exponentials(15e-3, 10**6, 456)
         assert samples.var() == pytest.approx((15e-3) ** 2, rel=0.01)
-
-    def test_unknown_state_rejected(self):
-        with pytest.raises(ValueError):
-            sample_dwell("dark", make_model(), np.random.default_rng(0))
 
 
 class TestGenerateTrace:
@@ -65,9 +66,7 @@ class TestGenerateTrace:
 
     def test_empirical_dwell_mean_matches_tau(self):
         # >= 1e5 dwells, empirical mean within 3 standard errors
-        model = make_model(tau_on=2e-3, tau_off=2e-3)
-        rng = np.random.default_rng(22)
-        samples = np.array([sample_dwell("on", model, rng) for _ in range(10**5)])
+        samples = draw_exponentials(2e-3, 10**5, 22)
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         assert abs(samples.mean() - 2e-3) < 3 * se
 
@@ -93,6 +92,38 @@ class TestGenerateTrace:
 PIN_LIFETIMES = [(15e-3, 45e-3), (4.8e-3, 6.7e-3), (0.3e-3, 2e-3), (50e-3, 8e-3)]
 
 
+def per_dwell_trace(model, duration, bin_width, photon_noise, generator):
+    """The simulator as a loop that draws and bins one dwell at a time.
+
+    This is the reference generate_trace's bulk draw must match bit for bit:
+    counts, hidden states and the generator's state afterwards.
+    """
+    n_bins = int(round(duration / bin_width))
+    total = n_bins * bin_width
+    on = bool(generator.random() < model.tau_on / (model.tau_on + model.tau_off))
+    on_time = np.zeros(n_bins)
+    t = 0.0
+    while t < total:
+        d = float(generator.exponential(model.tau_on if on else model.tau_off))
+        a, b = t, min(t + d, total)
+        if on and b > a:
+            i0 = min(int(a / bin_width), n_bins - 1)
+            i1 = min(int(np.ceil(b / bin_width)) - 1, n_bins - 1)
+            if i1 <= i0:
+                on_time[i0] += b - a
+            else:
+                on_time[i0] += (i0 + 1) * bin_width - a
+                on_time[i1] += b - i1 * bin_width
+                on_time[i0 + 1 : i1] += bin_width
+        t += d
+        on = not on
+    on_frac = np.clip(on_time / bin_width, 0.0, 1.0)
+    lo, hi = DEFAULT_MEAN_OFF_COUNTS, DEFAULT_MEAN_ON_COUNTS
+    expected = lo + (hi - lo) * on_frac
+    counts = generator.poisson(expected).astype(float) if photon_noise == "poisson" else expected
+    return counts, on_frac > 0.5
+
+
 def _digest_trace(h, trace):
     h.update(trace.counts.tobytes())
     h.update(trace.hidden_states.tobytes())
@@ -105,6 +136,35 @@ class TestGenerateTracePin:
     exponential per dwell; any rewrite of the simulator must reproduce
     them exactly.
     """
+
+    @pytest.mark.parametrize("bin_width", [1e-3, 0.7e-3, 0.25e-3])
+    def test_matches_per_dwell_loop(self, bin_width):
+        # (5 s, 3 s): one dwell usually outlasts the trace
+        for tau_on, tau_off in PIN_LIFETIMES + [(5.0, 3.0)]:
+            model = make_model(tau_on, tau_off)
+            for duration in (1e-3, 2.5e-3, 0.2, 2.0):
+                for noise in ("poisson", None):
+                    for seed in range(5):
+                        bulk, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+                        trace = generate_trace(model, duration, bin_width, noise, rng=bulk)
+                        counts, hidden = per_dwell_trace(model, duration, bin_width, noise, loop)
+                        assert trace.counts.tobytes() == counts.tobytes()
+                        assert trace.hidden_states.tobytes() == hidden.tobytes()
+                        assert bulk.bit_generator.state == loop.bit_generator.state
+
+    def test_redraw_when_first_draw_falls_short(self):
+        # with means of 1 s over 600 s, _draw_dwells first draws 724 dwells;
+        # for this seed they sum to less than 600 s, so it draws again
+        seed, total = 1725444, 600.0
+        assert np.random.default_rng(seed).standard_exponential(724).sum() < total
+        bulk, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        dwells = _draw_dwells(bulk, 1.0, 1.0, total)
+        expected, t = [], 0.0
+        while t < total:
+            expected.append(loop.exponential(1.0))
+            t += expected[-1]
+        assert dwells.tobytes() == np.array(expected).tobytes()
+        assert bulk.bit_generator.state == loop.bit_generator.state
 
     def test_seed_grid_digest(self):
         h = hashlib.sha256()

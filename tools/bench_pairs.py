@@ -14,8 +14,17 @@ are sequential, one process at a time.
 The JSON written holds every run's end-to-end metrics, `correct`,
 `attempted` and `failed`; per workload and side the median and quartiles
 of each metric; the pairs the change won; the hash lines; and the
-machine facts the runs printed.  It needs only the standard library and
-git; perfbench itself needs what the program needs.
+machine facts the runs printed.  Per workload and metric it also judges
+the runs:
+
+- `gain`: the change won at least 9 of 10 pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- `within_bound`: the change's median is worse than the parent's by at
+  most the metric's `bound` from BENCHMARK.json, as a fraction of the
+  parent's median.
+
+It needs only the standard library and git; perfbench itself needs what
+the program needs.
 """
 
 from __future__ import annotations
@@ -80,7 +89,22 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def pairs(checkouts: dict, workload: str, seeds, seconds: float) -> dict:
+def judge(runs: dict, summaries: dict, metric: dict) -> dict:
+    """Gain and bound verdicts for one end-to-end metric over one workload's pairs."""
+    name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
+    parent, change = summaries["parent"][name], summaries["change"][name]
+    won = sum(sign * (c["metrics"][name] - p["metrics"][name]) < 0
+              for p, c in zip(runs["parent"], runs["change"]))
+    gap = sign * (parent["median"] - change["median"])
+    return {
+        "change_won": won,
+        "gain": 10 * won >= 9 * len(runs["parent"]) and gap > parent["q3"] - parent["q1"],
+        "within_bound": sign * (change["median"] - parent["median"])
+        <= metric["bound"] * parent["median"],
+    }
+
+
+def pairs(checkouts: dict, workload: str, seeds, seconds: float, metrics: list) -> dict:
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -91,12 +115,7 @@ def pairs(checkouts: dict, workload: str, seeds, seconds: float) -> dict:
     entry = {"seeds": list(seeds), "runs": runs}
     if all("metrics" in r for side in runs.values() for r in side):
         entry["summary"] = {side: summary(side_runs) for side, side_runs in runs.items()}
-        # every end-to-end metric is better when lower
-        entry["change_won"] = {
-            name: sum(c["metrics"][name] < p["metrics"][name]
-                      for p, c in zip(runs["parent"], runs["change"]))
-            for name in runs["parent"][0]["metrics"]
-        }
+        entry["verdict"] = {m["name"]: judge(runs, entry["summary"], m) for m in metrics}
         entry["all_correct"] = all(r["correct"] and r["failed"] == 0
                                    for side in runs.values() for r in side)
     return entry
@@ -123,7 +142,8 @@ def main(argv=None) -> int:
             "parent": parent_rev,
             "change": head + (" plus uncommitted changes" if dirty else ""),
             "seconds": seconds,
-            "workloads": {w: pairs(checkouts, w, SEEDS, seconds) for w in workloads},
+            "workloads": {w: pairs(checkouts, w, SEEDS, seconds, bench["end_to_end"])
+                          for w in workloads},
         }
         hashes = {"parent": {}, "change": {}}
         for seed in HASH_SEEDS:
