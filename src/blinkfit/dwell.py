@@ -113,6 +113,16 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (steps[:-1][keep] + 1 + steps[1:][keep]) // 2
 
 
+def _count_values(counts: np.ndarray) -> np.ndarray:
+    """Counts rounded to integers (half to even), negatives raised to 0.
+
+    np.clip(np.rint(counts).astype(int), 0, None) in one buffer: rint
+    casts into it, then the clip works in place.
+    """
+    values = np.rint(counts, out=np.empty(counts.size, dtype=int), casting="unsafe")
+    return np.clip(values, 0, None, out=values)
+
+
 def auto_threshold(trace: BlinkTrace) -> float:
     """Place a threshold at the midpoint of the two count-histogram modes.
 
@@ -123,9 +133,7 @@ def auto_threshold(trace: BlinkTrace) -> float:
     """
     if len(trace) == 0:
         raise ValueError("cannot threshold an empty trace")
-    values = np.rint(trace.counts).astype(int)
-    values = np.clip(values, 0, None)
-    hist = np.bincount(values).astype(float)
+    hist = np.bincount(_count_values(trace.counts)).astype(float)
     smooth = np.convolve(hist, _SMOOTH_KERNEL, mode="same")
 
     main = int(np.argmax(smooth))

@@ -44,7 +44,8 @@ class BlinkTrace:
 
     counts holds one value per bin: integer Poisson draws when photon noise
     is on, otherwise the exact expected counts (fractional in bins that
-    straddle a state transition).  hidden_states marks the majority state of
+    straddle a state transition); a NaN or infinite count raises
+    ValueError.  hidden_states marks the majority state of
     each bin and truth carries the generating (tau_on, tau_off).
     """
 
@@ -64,6 +65,10 @@ class BlinkTrace:
             raise ValueError("trace must contain at least one bin")
         if not self.mean_on_counts > self.mean_off_counts:
             raise ValueError("mean_on_counts must exceed mean_off_counts")
+        finite = np.isfinite(self.counts)
+        if not finite.all():
+            bad = int(finite.argmin())
+            raise ValueError(f"counts must be finite, got {self.counts[bad]} in bin {bad}")
 
     def __len__(self) -> int:
         return self.counts.size
@@ -333,6 +338,12 @@ def read_trace(path) -> BlinkTrace:
     if counts is None:
         counts = _scan_rows(path)[0]
     meta = _read_sidecar(path.with_suffix(".json"))
+    # checked before BlinkTrace, which refuses a non-finite count without
+    # naming the line
+    bad = np.flatnonzero(~np.isfinite(counts))
+    if bad.size:
+        lineno = _scan_rows(path)[1][bad[0]]
+        raise ValueError(f"non-finite count at line {lineno} of {path}")
     truth = None
     if meta.get("tau_on_s") is not None and meta.get("tau_off_s") is not None:
         truth = (meta["tau_on_s"], meta["tau_off_s"])
@@ -344,11 +355,6 @@ def read_trace(path) -> BlinkTrace:
         truth=truth,
         seed=meta.get("seed"),
     )
-
-    bad = np.flatnonzero(~np.isfinite(trace.counts))
-    if bad.size:
-        lineno = _scan_rows(path)[1][bad[0]]
-        raise ValueError(f"non-finite count at line {lineno} of {path}")
     # BlinkTrace refuses an empty trace, so body holds a first and a last row
     for index, (lineno, text) in zip((0, len(trace) - 1), _edge_rows(body)):
         try:

@@ -90,6 +90,9 @@ class Clustering:
     potential: float
     phi_history: list[float] = field(default_factory=list)
     points: np.ndarray | None = None
+    # squared distance between every two points; silhouette computes it
+    # when absent
+    sq_dists: np.ndarray | None = None
 
 
 def heuristic_estimate(hist: DwellHistogram, tau_range: tuple[float, float]) -> float:
@@ -131,30 +134,40 @@ def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """D^2-weighted centroid seeding.
+def _pairwise_sq(pts: np.ndarray) -> np.ndarray:
+    """Squared distance between every two rows of pts."""
+    return ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
 
-    The first centroid is uniform; each next one is drawn with probability
-    proportional to the squared distance to the nearest chosen centroid.
-    When every remaining distance is zero (all points identical) the draw
-    falls back to uniform.
+
+def _seed_indices(sq_dists: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """Row indices of D^2-weighted centroid seeds, from the pairwise table.
+
+    The first seed is uniform; each next one is drawn with probability
+    proportional to the squared distance to the nearest chosen seed.  When
+    every remaining distance is zero (all points identical) the draw falls
+    back to uniform.
     """
+    m = sq_dists.shape[0]
+    seeds = [int(rng.integers(m))]
+    d2 = sq_dists[seeds[0]]
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(m))
+        else:
+            idx = _draw_index(d2 / total, rng)
+        seeds.append(idx)
+        d2 = np.minimum(d2, sq_dists[idx])
+    return seeds
+
+
+def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """D^2-weighted centroid seeding (see _seed_indices): the seed points."""
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     if m < k:
         raise ValueError(f"need at least {k} points, got {m}")
-    centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[rng.integers(m)]
-    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = rng.integers(m)
-        else:
-            idx = _draw_index(d2 / total, rng)
-        centroids[j] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
-    return centroids
+    return pts[_seed_indices(_pairwise_sq(pts), k, rng)]
 
 
 def _assign(pts, centroids):
@@ -180,29 +193,46 @@ def _seize_empty(pts, centroids, labels) -> None:
 def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator) -> Clustering:
     """Lloyd iterations from a K-means++ seed, minimizing the potential.
 
-    Each update takes every centroid at once from per-cluster sums and
-    member counts (np.bincount, which adds members in point order as
-    mean(axis=0) does).  Stops once no point is reassigned and no centroid
-    moves further than MOVEMENT_TOL (or after KMEANS_MAX_ITER iterations).
-    An empty cluster keeps its centroid until it seizes the point
-    currently farthest from its own centroid.  Fewer than k distinct
-    points raise ValueError.
+    The pairwise squared-distance table is computed once: its rows weight
+    the K-means++ draws, its seed columns give the first assignment, and
+    the Clustering carries it for silhouette.  Each update takes every
+    centroid at once from per-cluster sums and member counts (np.bincount,
+    which adds members in point order as mean(axis=0) does).  Stops once
+    no point is reassigned and no centroid moves further than MOVEMENT_TOL
+    (or after KMEANS_MAX_ITER iterations).  An empty cluster keeps its
+    centroid until it seizes the point currently farthest from its own
+    centroid.  Fewer than k distinct points raise ValueError.
+
+    An update that reassigns no point, with no cluster empty and finite
+    centroids, also ends the run when another iteration is left: that
+    iteration would rebuild the same centroids from the same labels,
+    reassign them identically and settle.  Its potential, equal to this
+    update's, is still appended, so phi_history has the length, and
+    len(phi_history) - 1 the iteration count, of the run without this stop.
+    Without the finite check a NaN centroid, whose movement test never
+    passes, would end a run that otherwise goes on to KMEANS_MAX_ITER.
     """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
     if m < k or k < 1:
         raise ValueError(f"need at least {k} points for {k} clusters, got {m}")
 
-    centroids = kmeanspp_init(pts, k, rng)
-    labels, phi = _assign(pts, centroids)
-    history = [phi]
+    sq_dists = _pairwise_sq(pts)
+    seeds = _seed_indices(sq_dists, k, rng)
+    centroids = pts[seeds]
+    # squared distances from every point to each seed
+    seed_d2 = sq_dists[:, seeds]
+    labels = seed_d2.argmin(axis=1)
+    history = [seed_d2.min(axis=1).sum()]
     coords = pts.ravel()
-    for _ in range(KMEANS_MAX_ITER):
+    offsets = np.arange(d)
+    for it in range(KMEANS_MAX_ITER):
         counts = np.bincount(labels, minlength=k)
         # bin j * d + c sums coordinate c over the members of cluster j
-        flat = (labels[:, None] * d + np.arange(d)).ravel()
+        flat = (labels[:, None] * d + offsets).ravel()
         sums = np.bincount(flat, weights=coords, minlength=k * d).reshape(k, d)
-        if counts.all():
+        full = counts.all()
+        if full:
             new_centroids = sums / counts[:, None]
         else:
             filled = counts > 0
@@ -211,13 +241,17 @@ def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator) -> Clus
             # repair empty clusters before the next assignment
             _seize_empty(pts, new_centroids, labels)
         new_labels, phi_new = _assign(pts, new_centroids)
-        settled = (new_labels == labels).all() and (
-            np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max() <= MOVEMENT_TOL
-        )
+        unchanged = (new_labels == labels).all()
+        old_centroids = centroids
         centroids, labels = new_centroids, new_labels
         history.append(phi_new)
-        if settled:
-            break
+        if unchanged:
+            moved = np.sqrt(((new_centroids - old_centroids) ** 2).sum(axis=1)).max()
+            if moved <= MOVEMENT_TOL:
+                break
+            if full and it + 1 < KMEANS_MAX_ITER and np.isfinite(new_centroids).all():
+                history.append(phi_new)  # the settling iteration's potential
+                break
     # an assignment gives identical points one label, so fewer than k
     # distinct points always leave a cluster empty here; with at least k,
     # ties between centroids can starve one, and a final seize pass
@@ -237,6 +271,7 @@ def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator) -> Clus
         potential=float(history[-1]),
         phi_history=[float(p) for p in history],
         points=pts,
+        sq_dists=sq_dists,
     )
 
 
@@ -253,7 +288,8 @@ def silhouette(clustering: Clustering) -> np.ndarray:
     labels = clustering.assignment
     m = pts.shape[0]
     k = clustering.k
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    sq_dists = clustering.sq_dists
+    dist = np.sqrt(_pairwise_sq(pts) if sq_dists is None else sq_dists)
     onehot = np.zeros((m, k))
     onehot[np.arange(m), labels] = 1.0
     sizes = onehot.sum(axis=0)
@@ -295,13 +331,17 @@ def mutate(
     """Replace each index, with probability MUTATION_RATE, by an unused one.
 
     Replacements are drawn uniformly from the rows of hist.pairs() not
-    already in the individual; when none remain the index is kept.
+    already in the individual; when none remain the index is kept.  The
+    flags are drawn first, so an individual with none set is returned
+    sorted without building the pool.
     """
+    flags = rng.random(len(individual)) < MUTATION_RATE
+    if not flags.any():
+        return np.sort(individual)
     used = np.zeros(len(hist), dtype=bool)
     used[individual] = True
     pool = np.flatnonzero(~used).tolist()
     out = individual.copy()
-    flags = rng.random(len(out)) < MUTATION_RATE
     for slot in np.flatnonzero(flags):
         if not pool:
             break

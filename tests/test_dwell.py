@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from blinkfit.dwell import (
     DwellHistogram,
     StateSequence,
+    _count_values,
     _local_maxima,
     auto_threshold,
     binarize,
@@ -74,6 +75,33 @@ class TestAutoThreshold:
         seq = binarize(trace, thr)
         mismatch = (seq.states != trace.hidden_states).mean()
         assert mismatch < 0.01
+
+
+class TestCountValues:
+    """_count_values casts into one buffer and clips it in place; the integers
+    must equal the three-array expression it replaced, whatever the counts."""
+
+    @staticmethod
+    def old_values(counts):
+        return np.clip(np.rint(counts).astype(int), 0, None)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_matches_old_expression_on_edge_values(self):
+        counts = np.array(
+            [np.nan, np.inf, -np.inf, 1e30, -1e30, 2.0**62, 2.0**63, 1e18, -7.0,
+             0.5, 1.5, 2.5, -0.5, -1.5, 3.49999, 0.0, -0.0]
+        )
+        new = _count_values(counts)
+        assert new.dtype == self.old_values(counts).dtype
+        np.testing.assert_array_equal(new, self.old_values(counts))
+
+    def test_matches_old_expression_on_traces(self):
+        rng = np.random.default_rng(5)
+        for noise in ("poisson", None):
+            counts = generate_trace(EmitterModel(15e-3, 45e-3), 5.0, 1e-3, noise, rng=9).counts
+            np.testing.assert_array_equal(_count_values(counts), self.old_values(counts))
+        halves = rng.integers(-20, 200, 10000) / 2.0
+        np.testing.assert_array_equal(_count_values(halves), self.old_values(halves))
 
 
 class TestLocalMaxima:

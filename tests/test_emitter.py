@@ -9,6 +9,7 @@ from blinkfit.dwell import binarize
 from blinkfit.emitter import (
     DEFAULT_MEAN_OFF_COUNTS,
     DEFAULT_MEAN_ON_COUNTS,
+    BlinkTrace,
     EmitterModel,
     _draw_dwells,
     generate_trace,
@@ -206,6 +207,18 @@ class TestModelValidation:
     def test_positive_lifetimes_required(self):
         with pytest.raises(ValueError):
             EmitterModel(tau_on=0.0, tau_off=1.0)
+
+
+class TestTraceValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_count_rejected(self, bad):
+        # a NaN count used to pass, and auto_threshold cast it to 0
+        with pytest.raises(ValueError, match=r"counts must be finite, got .* in bin 2"):
+            BlinkTrace(bin_width=1e-3, counts=[12.0, 3.0, bad, 40.0, bad])
+
+    def test_finite_counts_accepted(self):
+        trace = BlinkTrace(bin_width=1e-3, counts=[12, 3.5, -1.0, 1e300])
+        assert len(trace) == 4
 
 
 class TestTraceIO:

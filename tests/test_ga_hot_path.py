@@ -7,6 +7,11 @@ would reject before calling it, with the Python-number checks extract_tau
 itself now makes.  The reference functions below are the
 earlier per-cluster loops, kept verbatim, and the tests require equal
 bits, not closeness: the rewrite changes no arithmetic order.
+
+kmeans_cluster also reads its K-means++ weights and first assignment from
+one pairwise distance table and stops one Lloyd iteration early when that
+iteration could only settle, and mutate draws its flags before building
+its pool; the reference loops, and ref_mutate below, do neither.
 """
 
 import math
@@ -16,7 +21,7 @@ import numpy as np
 import pytest
 
 from blinkfit import ga
-from blinkfit.dwell import auto_threshold, binarize, dwell_histogram
+from blinkfit.dwell import DwellHistogram, auto_threshold, binarize, dwell_histogram
 from blinkfit.emitter import EmitterModel, generate_trace
 from blinkfit.errors import DegenerateClusterError
 from blinkfit.ga import (
@@ -26,7 +31,9 @@ from blinkfit.ga import (
     _normalize,
     extract_tau,
     kmeans_cluster,
+    mutate,
     run_ga,
+    silhouette,
 )
 
 
@@ -135,6 +142,19 @@ def ref_candidate_tau(points, clustering, bin_width):
     return None
 
 
+def ref_mutate(individual, hist, rng):
+    used = np.zeros(len(hist), dtype=bool)
+    used[individual] = True
+    pool = np.flatnonzero(~used).tolist()
+    out = individual.copy()
+    flags = rng.random(len(out)) < ga.MUTATION_RATE
+    for slot in np.flatnonzero(flags):
+        if not pool:
+            break
+        out[slot] = pool.pop(int(rng.integers(len(pool))))
+    return np.sort(out)
+
+
 # --- inputs ------------------------------------------------------------------
 
 
@@ -173,6 +193,16 @@ def same_outcome(points, k, seed):
     tau = _candidate_tau(points, new, 1e-3)
     assert tau == ref_candidate_tau(points, ref, 1e-3)
     return tau
+
+
+def same_clustering_nan_aware(points, k, seed):
+    new = kmeans_cluster(points, k, np.random.default_rng(seed))
+    ref = ref_kmeans_cluster(points, k, np.random.default_rng(seed))
+    np.testing.assert_array_equal(new.assignment, ref.assignment)
+    np.testing.assert_array_equal(new.centroids, ref.centroids)
+    # assert_array_equal counts NaN as equal to NaN; the lengths must match too
+    np.testing.assert_array_equal(new.phi_history, ref.phi_history)
+    return new
 
 
 class TestBitIdentity:
@@ -246,3 +276,103 @@ class TestDrawIndex:
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             assert _draw_index(p, a) == b.choice(m, p=p)
             assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestLloydShortcut:
+    """kmeans_cluster ends one iteration early when labels stop changing; the
+    reference runs that iteration, so phi_history must still match."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_capped_runs(self, max_iter, monkeypatch):
+        monkeypatch.setattr(ga, "KMEANS_MAX_ITER", max_iter)
+        rng = np.random.default_rng(100 + max_iter)
+        iterations = set()
+        for seed in range(400):
+            points = ga_like_points(rng)
+            k = int(rng.integers(2, min(ga.K_MAX, len(points)) + 1))
+            clustering = same_clustering_nan_aware(_normalize(points), k, seed)
+            iterations.add(len(clustering.phi_history) - 1)
+        for seed in range(200):
+            points, distinct = duplicate_points(rng)
+            k = int(rng.integers(2, min(distinct, ga.K_MAX) + 1))
+            same_clustering_nan_aware(_normalize(points), k, seed)
+        # runs that settled before the cap and runs stopped by it
+        assert max_iter in iterations
+        assert max_iter == 1 or min(iterations) < max_iter
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 50])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_points(self, max_iter, bad, monkeypatch):
+        # One cluster: with k >= 2 the reference's rng.choice refuses the
+        # non-finite K-means++ weights, so Lloyd would never be reached.
+        # A non-finite centroid never passes the movement test, so both
+        # run to the cap.
+        monkeypatch.setattr(ga, "KMEANS_MAX_ITER", max_iter)
+        rng = np.random.default_rng(4)
+        for seed in range(20):
+            points = _normalize(ga_like_points(rng))
+            points[rng.integers(len(points)), rng.integers(2)] = bad
+            new = same_clustering_nan_aware(points, 1, seed)
+            assert len(new.phi_history) == max_iter + 1
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 50])
+    def test_one_cluster(self, max_iter, monkeypatch):
+        monkeypatch.setattr(ga, "KMEANS_MAX_ITER", max_iter)
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            points = _normalize(ga_like_points(rng))
+            same_clustering_nan_aware(points, 1, seed)
+
+    def test_update_that_repairs_an_empty_cluster(self):
+        # Found by search: an update here empties a cluster, the repair
+        # hands it a point, and the next assignment keeps every label.
+        # The iteration after it moves the donor cluster's centroid, so it
+        # must run; skipping it would append this potential twice.
+        points = np.array([
+            [0.09862752009259845, 0.9609468630008677],
+            [0.6920685117790875, 0.3646677644946237],
+            [0.09208609922682998, 0.3802389384057696],
+            [0.7615267647118292, 0.05171365646544146],
+            [0.778146644962467, 0.2078050222179536],
+            [0.1437500234615151, 0.40941752966175693],
+            [0.10869277829170132, 0.5703266729313428],
+        ])
+        same_clustering_nan_aware(points, 3, 95825)
+
+    def test_silhouette_from_carried_table(self):
+        rng = np.random.default_rng(6)
+        for seed in range(300):
+            points = _normalize(ga_like_points(rng))
+            k = int(rng.integers(2, min(ga.K_MAX, len(points)) + 1))
+            clustering = kmeans_cluster(points, k, np.random.default_rng(seed))
+            bare = ga.Clustering(
+                k, clustering.centroids, clustering.assignment, clustering.potential,
+                points=clustering.points,
+            )
+            np.testing.assert_array_equal(silhouette(clustering), silhouette(bare))
+
+
+class TestMutateShortcut:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(8)
+        unflagged = flagged = 0
+        for seed in range(3000):
+            m = int(rng.integers(2, 60))
+            hist = DwellHistogram(
+                "on", 1e-3, np.arange(1, m + 1), rng.integers(1, 30, m)
+            )
+            # from one row to every row (an empty pool), sorted or not
+            individual = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+            if seed % 2:
+                individual = np.sort(individual)
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = mutate(individual, hist, a)
+            ref = ref_mutate(individual, hist, b)
+            np.testing.assert_array_equal(out, ref)
+            assert out.dtype == ref.dtype
+            assert a.bit_generator.state == b.bit_generator.state
+            flags = np.random.default_rng(seed).random(len(individual)) < ga.MUTATION_RATE
+            unflagged += not flags.any()
+            flagged += flags.any()
+        assert unflagged > 500 and flagged > 500
