@@ -53,7 +53,6 @@ from .ga import (
     extract_tau,
     heuristic_estimate,
     kmeans_cluster,
-    kmeanspp_init,
     mutate,
     run_ga,
     silhouette,

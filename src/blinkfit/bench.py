@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,7 +72,12 @@ def fig2_scenario(**overrides) -> Scenario:
 
 @dataclass
 class BenchCell:
-    """Aggregated trial statistics for one (method, state, duration)."""
+    """Aggregated trial statistics for one (method, state, duration).
+
+    cell_statistics builds every cell.  accuracy is max(0, 1 -
+    median_rel_error) but stays a field: perfbench/test_checks.py sets it
+    with dataclasses.replace to check that a wrong value is caught.
+    """
 
     method: str
     state: str
@@ -83,7 +87,10 @@ class BenchCell:
     median_rel_error: float | None
     accuracy: float | None
     precision: float | None
-    convergence_rate: float
+
+    @property
+    def convergence_rate(self) -> float:
+        return self.converged / self.trials
 
     @property
     def blank(self) -> bool:
@@ -134,8 +141,13 @@ def analyze_trace(
     from stable_seed(seed, "ga", state).  Returns the threshold (None when
     thresholding or histogramming failed) and an estimate per state.
     Estimator failures are recorded as non-converged estimates rather than
-    raised; the failure class and message are kept in the diagnostics.
+    raised; the failure class and message are kept in the diagnostics.  An
+    unknown method, or "mfr" without models, raises ValueError.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "mfr" and models is None:
+        raise ValueError("method 'mfr' needs models")
     try:
         threshold = auto_threshold(trace)
         hists = dict(zip(("on", "off"), dwell_histogram(binarize(trace, threshold))))
@@ -166,8 +178,6 @@ def run_trial(
     models: dict | None = None,
 ) -> dict[str, RateEstimate]:
     """One seeded trial: simulate a trace, then analyze_trace it."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     if method == "mfr" and (models is None or duration not in models):
         raise ValueError(f"no MFR model trained for duration {duration}")
     seed = stable_seed(scenario.base_seed, duration, method, trial_index)
@@ -210,6 +220,29 @@ def precision(estimates) -> float | None:
     return float(statistics.stdev(values))
 
 
+def cell_statistics(
+    method: str, state: str, duration: float, estimates, truth: float
+) -> BenchCell:
+    """One cell's statistics from its trial estimates and the true lifetime.
+
+    Non-converged trials are excluded from the error/precision statistics
+    but still count towards the convergence rate; a cell with convergence
+    rate below one half is marked blank.
+    """
+    good = [e.tau_hat for e in estimates if e.converged]
+    med = float(np.median([abs(t - truth) / truth for t in good])) if good else None
+    return BenchCell(
+        method=method,
+        state=state,
+        duration=duration,
+        trials=len(estimates),
+        converged=len(good),
+        median_rel_error=med,
+        accuracy=None if med is None else max(0.0, 1.0 - med),
+        precision=precision(good),
+    )
+
+
 def _trial_task(args):
     scenario, duration, method, index, models = args
     return (method, duration, index), run_trial(scenario, duration, method, index, models=models)
@@ -232,6 +265,9 @@ def collect_trials(
         for index in range(scenario.trials_per_cell)
     ]
     if workers > 1:
+        # imported here: no serial run pays for concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return dict(pool.map(_trial_task, tasks, chunksize=8))
     return dict(map(_trial_task, tasks))
@@ -244,45 +280,15 @@ def sweep(
     models=None,
     workers: int | None = None,
 ) -> list[BenchCell]:
-    """Aggregate the full methods x durations x states grid into cells.
-
-    Non-converged trials are excluded from the error/precision statistics
-    but still count towards the convergence rate; a cell with convergence
-    rate below one half is marked blank.
-    """
+    """Aggregate the full methods x durations x states grid into cells."""
     trials = scenario.trials_per_cell
     raw = collect_trials(scenario, methods, models=models, workers=workers)
     cells = []
     for method in methods:
         for duration in scenario.durations:
-            per_state = {"on": [], "off": []}
-            for index in range(trials):
-                for state, est in raw[(method, duration, index)].items():
-                    per_state[state].append(est)
-            for state, estimates in per_state.items():
-                truth = scenario.tau_on if state == "on" else scenario.tau_off
-                good = [e.tau_hat for e in estimates if e.converged]
-                n_conv = len(good)
-                if n_conv:
-                    rel_errors = [abs(t - truth) / truth for t in good]
-                    med = float(np.median(rel_errors))
-                    acc = max(0.0, 1.0 - med)
-                else:
-                    med = None
-                    acc = None
-                cells.append(
-                    BenchCell(
-                        method=method,
-                        state=state,
-                        duration=duration,
-                        trials=trials,
-                        converged=n_conv,
-                        median_rel_error=med,
-                        accuracy=acc,
-                        precision=precision(good),
-                        convergence_rate=n_conv / trials,
-                    )
-                )
+            for state, truth in (("on", scenario.tau_on), ("off", scenario.tau_off)):
+                estimates = [raw[(method, duration, index)][state] for index in range(trials)]
+                cells.append(cell_statistics(method, state, duration, estimates, truth))
     return cells
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 analysis non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -22,6 +23,7 @@ from . import mfr as mfr_mod
 # the dwell and levmar names are unused here; perfbench/probe.py patches them on this module
 from .dwell import auto_threshold, binarize, dwell_histogram  # noqa: F401
 from .emitter import EmitterModel, generate_trace, read_trace, write_trace
+from .estimate import load_fields
 from .levmar import fit_exponential  # noqa: F401
 
 DEFAULT_SEED = 1234
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="run the estimator comparison sweep")
     be.add_argument("--scenario", default="default", help="default, fig2 or a JSON file")
     be.add_argument("--trials", type=int, default=None)
-    be.add_argument("--methods", default="lm,mfr,ga")
+    be.add_argument("--methods", default=",".join(bench_mod.METHODS))
     be.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -181,18 +183,9 @@ def _cmd_train_mfr(args) -> int:
 
 
 def _load_scenario(spec: str, trials: int | None) -> bench_mod.Scenario:
-    overrides = {} if trials is None else {"trials_per_cell": trials}
-    if spec == "default":
-        return bench_mod.default_scenario(**overrides)
-    if spec == "fig2":
-        return bench_mod.fig2_scenario(**overrides)
-    payload = json.loads(Path(spec).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError("scenario must be a JSON object")
-    # JSON has no tuples; every list-valued field is a tuple field
-    payload = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
-    payload.update(overrides)
-    return bench_mod.Scenario(**payload)
+    presets = {"default": bench_mod.default_scenario, "fig2": bench_mod.fig2_scenario}
+    scenario = presets[spec]() if spec in presets else load_fields(bench_mod.Scenario, spec)
+    return scenario if trials is None else dataclasses.replace(scenario, trials_per_cell=trials)
 
 
 def _cmd_bench(args) -> int:
@@ -206,7 +199,7 @@ def _cmd_bench(args) -> int:
         return _Parser._fail(f"output directory not writable: {exc}")
     try:
         scenario = _load_scenario(args.scenario, args.trials)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         return _Parser._fail(f"bad scenario: {exc}")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if not methods:

@@ -30,9 +30,6 @@ class StateSequence:
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=bool)
 
-    def __len__(self) -> int:
-        return self.states.size
-
 
 @dataclass(eq=False)
 class DwellHistogram:

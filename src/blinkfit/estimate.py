@@ -1,8 +1,15 @@
-"""Common estimator output type."""
+"""Common estimator output type and the config-file loader.
+
+RateEstimate is what every estimator returns.  load_fields reads the JSON
+files that hold a Scenario, a GaConfig or an MfrModel: one object whose
+keys are the dataclass's field names.
+"""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 @dataclass
@@ -19,7 +26,18 @@ class RateEstimate:
     converged: bool
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def rate(self) -> float:
-        """Switching rate k = 1/tau (1/s)."""
-        return 1.0 / self.tau_hat
+
+def load_fields(cls, path):
+    """cls built from the JSON object in the file at path, keyed by field name.
+
+    JSON has no tuples, so every list becomes a tuple.  A file that holds
+    no JSON object, a missing or unknown key, or a value the class refuses
+    raises ValueError naming the file.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()})
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown or missing key
+        raise ValueError(f"{path}: {exc}") from exc

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dwell import DwellHistogram, mean_dwell
 from .errors import DegenerateClusterError, InsufficientDataError, NoEstimateError
-from .estimate import RateEstimate
+from .estimate import RateEstimate, load_fields
 
 _LN2 = math.log(2.0)
 K_INIT = 3
@@ -65,19 +65,8 @@ class GaConfig:
 
     @classmethod
     def from_json(cls, path) -> "GaConfig":
-        """Load a file written by to_json; keys are the field names.
-
-        A missing tau_range or an unknown key raises ValueError naming it.
-        """
-        payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: GaConfig must be a JSON object")
-        # JSON has no tuples; every list-valued field is a tuple field
-        values = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
-        try:
-            return cls(**values)
-        except TypeError as exc:  # unknown or missing key
-            raise ValueError(f"{path}: {exc}") from exc
+        """Load a file written by to_json (see estimate.load_fields)."""
+        return load_fields(cls, path)
 
 
 @dataclass(eq=False)
@@ -161,15 +150,6 @@ def _seed_indices(sq_dists: np.ndarray, k: int, rng: np.random.Generator) -> lis
     return seeds
 
 
-def kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """D^2-weighted centroid seeding (see _seed_indices): the seed points."""
-    pts = np.asarray(points, dtype=float)
-    m = pts.shape[0]
-    if m < k:
-        raise ValueError(f"need at least {k} points, got {m}")
-    return pts[_seed_indices(_pairwise_sq(pts), k, rng)]
-
-
 def _assign(pts, centroids):
     d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1), d2.min(axis=1).sum()
@@ -196,8 +176,10 @@ def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator) -> Clus
     The pairwise squared-distance table is computed once: its rows weight
     the K-means++ draws, its seed columns give the first assignment, and
     the Clustering carries it for silhouette.  Each update takes every
-    centroid at once from per-cluster sums and member counts (np.bincount,
-    which adds members in point order as mean(axis=0) does).  Stops once
+    centroid at once from per-cluster sums and member counts.  np.bincount
+    adds members in point order, as mean(axis=0) does on the 2-D points the
+    GA clusters; on 1-D points mean(axis=0) sums pairwise, so the last
+    digits there may differ from a per-cluster mean.  Stops once
     no point is reassigned and no centroid moves further than MOVEMENT_TOL
     (or after KMEANS_MAX_ITER iterations).  An empty cluster keeps its
     centroid until it seizes the point currently farthest from its own

@@ -28,7 +28,7 @@ from .emitter import (
     generate_trace,
 )
 from .errors import EmptyHistogramError, RankDeficientError
-from .estimate import RateEstimate
+from .estimate import RateEstimate, load_fields
 
 # With 20 training sets and hundreds of features the least-squares system
 # is wildly underdetermined, and at this lambda the predictions collapse to
@@ -86,6 +86,8 @@ class MfrModel:
     ridge_lambda: float
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError("n must be an integer of at least 1")
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.size != self.n + 1:
             raise ValueError("weight length must be n + 1")
@@ -101,17 +103,8 @@ class MfrModel:
 
     @classmethod
     def load(cls, path) -> "MfrModel":
-        """Load a file written by save; keys are the field names.
-
-        A missing or unknown key raises ValueError naming it.
-        """
-        payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: MfrModel must be a JSON object")
-        try:
-            return cls(**payload)
-        except TypeError as exc:  # unknown or missing key
-            raise ValueError(f"{path}: {exc}") from exc
+        """Load a file written by save (see estimate.load_fields)."""
+        return load_fields(cls, path)
 
 
 def default_feature_count(tau_hi: float, bin_width: float) -> int:

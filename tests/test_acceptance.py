@@ -114,21 +114,8 @@ def _median_accuracy(estimates, truth):
 
 def _cell(method, duration, state):
     """The bench's aggregate of one cached (method, duration, state) cell."""
-    truth = dict(STATES)[state]
-    ests = _estimates(method, duration)[state]
-    good = [e.tau_hat for e in ests if e.converged]
-    med = float(np.median([abs(t - truth) / truth for t in good])) if good else None
-    return bench.BenchCell(
-        method=method,
-        state=state,
-        duration=duration,
-        trials=len(ests),
-        converged=len(good),
-        median_rel_error=med,
-        accuracy=max(0.0, 1.0 - med) if med is not None else None,
-        precision=bench.precision(good),
-        convergence_rate=len(good) / len(ests),
-    )
+    estimates = _estimates(method, duration)[state]
+    return bench.cell_statistics(method, state, duration, estimates, dict(STATES)[state])
 
 
 def _crlb(truth, duration):
@@ -205,15 +192,7 @@ class TestCriterion3LmBaseline:
             for e in short
             if not e.converged or abs(e.tau_hat - SCENARIO.tau_off) / SCENARIO.tau_off > 0.5
         )
-        long_est = _estimates("lm", 200.0)
-        med_err = {}
-        for state, truth in (("on", SCENARIO.tau_on), ("off", SCENARIO.tau_off)):
-            errs = [
-                abs(e.tau_hat - truth) / truth
-                for e in long_est[state]
-                if e.converged
-            ]
-            med_err[state] = float(np.median(errs))
+        med_err = {state: _cell("lm", 200.0, state).median_rel_error for state, _ in STATES}
         ok = (
             failures >= TRIALS // 2
             and med_err["on"] <= 0.10
@@ -542,10 +521,10 @@ class TestGa200sExample:
         """The 200 s reference point: median error within 15% over 50 seeds."""
         scenario = replace(SCENARIO, durations=(200.0,), trials_per_cell=50)
         raw = bench.collect_trials(scenario, ("ga",), workers=WORKERS)
-        errs = [
-            abs(raw[("ga", 200.0, i)]["on"].tau_hat - 15e-3) / 15e-3 for i in range(50)
-        ]
-        med = float(np.median(errs))
+        estimates = [raw[("ga", 200.0, i)]["on"] for i in range(50)]
+        cell = bench.cell_statistics("ga", "on", 200.0, estimates, SCENARIO.tau_on)
+        # a failed (non-converged) trial fails the example
+        med = cell.median_rel_error if cell.converged == 50 else float("nan")
         _check(
             "GA 200s reference example",
             med <= 0.15,

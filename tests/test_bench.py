@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blinkfit import bench
 from blinkfit.bench import (
     BenchCell,
     Scenario,
     accuracy,
+    analyze_trace,
     collect_trials,
     default_scenario,
     fig2_scenario,
@@ -18,6 +20,7 @@ from blinkfit.bench import (
     write_heatmap_csv,
     write_results_csv,
 )
+from blinkfit.emitter import EmitterModel, generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,24 @@ class TestRunTrial:
             assert est.converged in (True, False)
 
 
+class TestAnalyzeTrace:
+    @pytest.fixture
+    def trace(self, monkeypatch):
+        def refuse(trace):
+            raise AssertionError("thresholded a trace it should have refused")
+
+        monkeypatch.setattr(bench, "auto_threshold", refuse)
+        return generate_trace(EmitterModel(15e-3, 45e-3), 2.0, 1e-3, "poisson", rng=1)
+
+    def test_unknown_method_refused_before_thresholding(self, trace):
+        with pytest.raises(ValueError, match="unknown method 'LM'"):
+            analyze_trace(trace, "LM", 1)
+
+    def test_mfr_without_models_refused_before_thresholding(self, trace):
+        with pytest.raises(ValueError, match="needs models"):
+            analyze_trace(trace, "mfr", 1)
+
+
 class TestSweep:
     def test_grid_shape(self, small_scenario, small_models):
         cells = sweep(
@@ -137,8 +158,8 @@ class TestSweep:
             median_rel_error=None,
             accuracy=None,
             precision=None,
-            convergence_rate=0.3,
         )
+        assert cell.convergence_rate == 0.3
         assert cell.blank
 
     def test_heatmap_csv_layout(self, tmp_path, small_scenario):

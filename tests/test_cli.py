@@ -31,6 +31,23 @@ class TestImport:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_cli_imports_no_process_pool(self):
+        # only a bench run with more than one worker needs a process pool
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, blinkfit.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent.futures', 'multiprocessing'))))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
 
 class TestParseTime:
     def test_units(self):
@@ -231,7 +248,20 @@ class TestSharedPipeline:
         on.write_text(json.dumps(payload))
         code = run(["analyze", "--trace", str(trace_2s), "--method", "mfr", "--model", str(base)])
         assert code == 1
-        assert "must be positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be positive" in err and str(on) in err
+
+    def test_mfr_model_float_feature_count(self, trace_2s, tmp_path, capsys):
+        base = tmp_path / "model"
+        assert run(["train-mfr", "--count", "2", "--duration", "2s", "--out", str(base)]) == 0
+        on = tmp_path / "model_on.json"
+        payload = json.loads(on.read_text())
+        payload["n"] = float(payload["n"])
+        on.write_text(json.dumps(payload))
+        code = run(["analyze", "--trace", str(trace_2s), "--method", "mfr", "--model", str(base)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "n must be an integer" in err and str(on) in err
 
 
 class TestTrainMfr:
@@ -362,7 +392,7 @@ class TestBench:
         out = str(tmp_path / "o")
         assert run(["bench", "--scenario", str(scenario), "--methods", "lm", "--out", out]) == 1
         err = capsys.readouterr().err
-        assert "bad scenario" in err and message in err
+        assert "bad scenario" in err and message in err and str(scenario) in err
 
     def test_deterministic_outputs(self, tmp_path):
         scenario = tmp_path / "scenario.json"

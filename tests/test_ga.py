@@ -14,11 +14,12 @@ from blinkfit.ga import (
     SUBSET_FRACTION,
     Clustering,
     GaConfig,
+    _pairwise_sq,
+    _seed_indices,
     crossover_clone_exchange,
     extract_tau,
     heuristic_estimate,
     kmeans_cluster,
-    kmeanspp_init,
     mutate,
     run_ga,
     silhouette,
@@ -105,15 +106,20 @@ class TestSpawn:
             spawn_individual(h, np.random.default_rng(0))
 
 
+def seed_points(pts, k, rng):
+    """The K-means++ seed points kmeans_cluster starts from."""
+    return pts[_seed_indices(_pairwise_sq(pts), k, rng)]
+
+
 class TestKmeansPP:
     def test_saturation(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        centroids = kmeanspp_init(pts, 3, np.random.default_rng(0))
+        centroids = seed_points(pts, 3, np.random.default_rng(0))
         assert {tuple(c) for c in centroids} == {tuple(p) for p in pts}
 
     def test_identical_points(self):
         pts = np.ones((5, 2))
-        centroids = kmeanspp_init(pts, 3, np.random.default_rng(0))
+        centroids = seed_points(pts, 3, np.random.default_rng(0))
         np.testing.assert_array_equal(centroids, np.ones((3, 2)))
 
     def test_separated_blobs_both_seeded(self):
@@ -124,14 +130,14 @@ class TestKmeansPP:
         hits = 0
         runs = 1000
         for seed in range(runs):
-            centroids = kmeanspp_init(pts, 2, np.random.default_rng(seed))
+            centroids = seed_points(pts, 2, np.random.default_rng(seed))
             sides = {c[0] > 2.5 for c in centroids}
             hits += len(sides) == 2
         assert hits / runs >= 0.99
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            kmeanspp_init(np.zeros((2, 2)), 3, np.random.default_rng(0))
+            kmeans_cluster(np.zeros((2, 2)), 3, np.random.default_rng(0))
 
 
 class TestKmeans:

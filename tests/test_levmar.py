@@ -163,8 +163,3 @@ class TestFitExponential:
         assert est_on.tau_hat == pytest.approx(15e-3, rel=0.1)
         assert est_off.tau_hat == pytest.approx(45e-3, rel=0.1)
 
-    def test_rate_accessor(self):
-        density = exp_density(0.0, 0.066, 15e-3, np.arange(1, 101))
-        est = fit_exponential(density)
-        assert est.rate == pytest.approx(1.0 / est.tau_hat)
-

@@ -154,6 +154,13 @@ class TestPredict:
         with pytest.raises(ValueError, match="n \\+ 1"):
             MfrModel(np.zeros(3), 1, 1e-3, 1.0, 1.0)
 
+    def test_feature_count_must_be_a_positive_int(self):
+        # each passes the weight-length check; a float n would reach
+        # featurize's np.zeros(n + 1)
+        for bad in (2.0, True, 0):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                MfrModel(np.zeros(int(bad) + 1), bad, 1e-3, 1.0, 1.0)
+
     def test_negative_prediction_not_converged(self, recwarn):
         est = estimate(model_with([-1.0, 0.0]), hist({1: 3}))
         assert est.tau_hat == -1.0
