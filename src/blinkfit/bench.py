@@ -22,7 +22,7 @@ import numpy as np
 from . import ga as ga_mod
 from . import mfr as mfr_mod
 from .dwell import auto_threshold, binarize, dwell_histogram, empirical_density, mean_dwell
-from .emitter import BlinkTrace, EmitterModel, generate_trace
+from .emitter import BlinkTrace, EmitterModel, check_sampling, generate_trace
 from .errors import BlinkfitError
 from .estimate import RateEstimate
 from .levmar import fit_exponential
@@ -46,15 +46,13 @@ class Scenario:
     base_seed: int = 1234
 
     def __post_init__(self):
-        if not (self.tau_on > 0 and self.tau_off > 0 and self.bin_width > 0):
-            raise ValueError("tau_on, tau_off and bin_width must be positive")
+        # the emitter's rules refuse the lifetimes and each (duration, bin_width, noise)
+        EmitterModel(self.tau_on, self.tau_off)
         durations = self.durations
         if not durations or any(a >= b for a, b in zip(durations, durations[1:])):
             raise ValueError("durations must be non-empty and strictly increasing")
-        if any(d < self.bin_width for d in durations):
-            raise ValueError("every duration must cover at least one bin")
-        if self.noise not in (None, "poisson"):
-            raise ValueError("noise must be null or 'poisson'")
+        for duration in durations:
+            check_sampling(duration, self.bin_width, self.noise)
         if type(self.trials_per_cell) is not int or self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be an integer of at least 1")
 

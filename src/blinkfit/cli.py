@@ -5,7 +5,11 @@ lifetimes from a trace file), train-mfr (build regression models) and
 bench (run the full comparison sweep).  All randomness is seeded with a
 fixed default so repeated invocations produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 analysis non-convergence.
+Time values take an optional ms or s suffix and must be positive and
+finite.  A value the library refuses, a bad relation between flags (a
+--duration shorter than --bin-width, --tau-min not below --tau-max) or a
+path that cannot be read or written prints "error: <message>" and exits
+with 1.  Exit codes: 0 success, 1 error, 2 analysis non-convergence.
 """
 
 from __future__ import annotations
@@ -100,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    if args.duration < args.bin_width:
-        return _Parser._fail("duration must cover at least one bin")
     model = EmitterModel(tau_on=args.tau_on, tau_off=args.tau_off)
     noise = None if args.noise == "none" else args.noise
     trace = generate_trace(model, args.duration, args.bin_width, noise, rng=args.seed)
@@ -123,16 +125,12 @@ def _print_estimate(state: str, est) -> None:
 def _cmd_analyze(args) -> int:
     if args.method == "mfr" and not args.model:
         return _Parser._fail("--method mfr requires --model")
-    try:
-        trace = read_trace(args.trace)
-        models = ga_config = None
-        if args.method == "mfr":
-            models = {s: mfr_mod.MfrModel.load(f"{args.model}_{s}.json") for s in ("on", "off")}
-        if args.method == "ga" and args.ga_config:
-            ga_config = ga_mod.GaConfig.from_json(args.ga_config)
-    except (OSError, ValueError) as exc:
-        return _Parser._fail(str(exc))
-
+    trace = read_trace(args.trace)
+    models = ga_config = None
+    if args.method == "mfr":
+        models = {s: mfr_mod.MfrModel.load(f"{args.model}_{s}.json") for s in ("on", "off")}
+    if args.method == "ga" and args.ga_config:
+        ga_config = ga_mod.GaConfig.from_json(args.ga_config)
     threshold, estimates = bench_mod.analyze_trace(
         trace, args.method, args.seed, models=models, ga_config=ga_config
     )
@@ -155,18 +153,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_train_mfr(args) -> int:
-    if not args.tau_min < args.tau_max:
-        return _Parser._fail("need --tau-min < --tau-max")
-    if args.duration < args.bin_width:
-        return _Parser._fail("duration must cover at least one bin")
-    if args.count < 1:
-        return _Parser._fail("--count must be at least 1")
-    if args.count < 5:
-        print(
-            f"warning: {args.count} training sets leave the regression almost "
-            "entirely to the ridge prior",
-            file=sys.stderr,
-        )
     models = mfr_mod.train_pair(
         (args.tau_min, args.tau_max),
         args.count,
@@ -175,6 +161,12 @@ def _cmd_train_mfr(args) -> int:
         photon_noise="poisson",
         rng=args.seed,
     )
+    if args.count < 5:
+        print(
+            f"warning: {args.count} training sets leave the regression almost "
+            "entirely to the ridge prior",
+            file=sys.stderr,
+        )
     for state, model in models.items():
         path = f"{args.out}_{state}.json"
         model.save(path)
@@ -233,7 +225,10 @@ def main(argv=None) -> int:
         "train-mfr": _cmd_train_mfr,
         "bench": _cmd_bench,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError) as exc:  # a value the library refuses, or a file error
+        return _Parser._fail(str(exc))
 
 
 def entrypoint() -> None:

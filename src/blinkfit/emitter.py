@@ -34,8 +34,8 @@ class EmitterModel:
     tau_off: float
 
     def __post_init__(self):
-        if self.tau_on <= 0 or self.tau_off <= 0:
-            raise ValueError("tau_on and tau_off must be positive")
+        if not (0 < self.tau_on < np.inf and 0 < self.tau_off < np.inf):
+            raise ValueError("tau_on and tau_off must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -58,8 +58,8 @@ class BlinkTrace:
     hidden_states: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
+        if not 0 < self.bin_width < np.inf:
+            raise ValueError("bin_width must be positive and finite")
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.size < 1:
             raise ValueError("trace must contain at least one bin")
@@ -115,6 +115,16 @@ def _draw_dwells(
     return dwells[:n]
 
 
+def check_sampling(duration: float, bin_width: float, photon_noise: str | None) -> None:
+    """Raise ValueError on arguments generate_trace cannot simulate (NaN included)."""
+    if not (0 < duration < np.inf and 0 < bin_width < np.inf):
+        raise ValueError("duration and bin_width must be positive and finite")
+    if duration < bin_width:
+        raise ValueError("duration must cover at least one bin")
+    if photon_noise not in (None, "poisson"):
+        raise ValueError("photon_noise must be None or 'poisson'")
+
+
 def generate_trace(
     model: EmitterModel,
     duration: float,
@@ -150,13 +160,7 @@ def generate_trace(
     photon_noise : "poisson" or None
     rng : int seed or numpy Generator
     """
-    if bin_width <= 0 or duration <= 0:
-        raise ValueError("duration and bin_width must be positive")
-    if duration < bin_width:
-        raise ValueError("duration must cover at least one bin")
-    if photon_noise not in (None, "poisson"):
-        raise ValueError("photon_noise must be None or 'poisson'")
-
+    check_sampling(duration, bin_width, photon_noise)
     generator, seed = _as_rng(rng)
     n_bins = int(round(duration / bin_width))
     total = n_bins * bin_width
@@ -237,7 +241,7 @@ def write_trace(trace: BlinkTrace, path) -> None:
 def _read_sidecar(sidecar: Path) -> dict:
     """Load a trace's JSON sidecar; the errors below name the file.
 
-    bin_width_s must hold a positive number, the other numeric keys a
+    bin_width_s must hold a positive finite number, the other numeric keys a
     number or null.
     """
     try:
@@ -252,8 +256,10 @@ def _read_sidecar(sidecar: Path) -> dict:
         if meta.get(key) is not None and type(meta[key]) not in (int, float):
             raise ValueError(f"sidecar {sidecar}: {key} must be a number, got {meta[key]!r}")
     width = meta["bin_width_s"]
-    if not width > 0:  # also NaN, which json.loads accepts
-        raise ValueError(f"sidecar {sidecar}: bin_width_s must be positive, got {width}")
+    if not 0 < width < np.inf:  # also NaN and Infinity, which json.loads accepts
+        raise ValueError(
+            f"sidecar {sidecar}: bin_width_s must be positive and finite, got {width}"
+        )
     return meta
 
 
@@ -274,28 +280,29 @@ def _bulk_counts(path: Path, rows: int) -> np.ndarray | None:
     return counts if counts.size == rows else None
 
 
-def _scan_rows(path: Path) -> tuple[list[float], list[int]]:
-    """Parse the data rows one at a time: the counts and each row's line number.
+def _scan_rows(path: Path) -> list[float]:
+    """Parse the data rows one at a time, as float() reads each count.
 
     Blank lines are skipped.  A row that is not two fields with a count
-    that float() reads raises, naming its line.
+    that float() reads, or whose count is not finite, raises, naming its
+    line.
     """
-    counts, lines = [], []
+    counts = []
     with path.open() as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ValueError(f"malformed trace row at line {lineno} of {path}")
             try:
-                counts.append(float(fields[1]))
+                _, text = line.split(",")
+                count = float(text)
             except ValueError as exc:
                 raise ValueError(f"malformed trace row at line {lineno} of {path}") from exc
-            lines.append(lineno)
-    return counts, lines
+            if not np.isfinite(count):
+                raise ValueError(f"non-finite count at line {lineno} of {path}")
+            counts.append(count)
+    return counts
 
 
 def _edge_rows(body: str) -> list[tuple[int, str]]:
@@ -326,7 +333,8 @@ def read_trace(path) -> BlinkTrace:
     its field check refuses, or that holds a non-finite count, is scanned
     row by row (_scan_rows): the scan names the line at fault, or reads the
     rows as float() does where loadtxt is stricter (whitespace-only lines,
-    digit separators).
+    digit separators).  A non-finite count is thus refused before the
+    sidecar is read.
     """
     path = Path(path)
     with path.open() as fh:
@@ -335,15 +343,9 @@ def read_trace(path) -> BlinkTrace:
             raise ValueError(f"unexpected trace header {header!r} in {path}")
         body = fh.read()
     counts = _bulk_counts(path, body.count(","))
-    if counts is None:
-        counts = _scan_rows(path)[0]
+    if counts is None or not np.isfinite(counts).all():
+        counts = _scan_rows(path)
     meta = _read_sidecar(path.with_suffix(".json"))
-    # checked before BlinkTrace, which refuses a non-finite count without
-    # naming the line
-    bad = np.flatnonzero(~np.isfinite(counts))
-    if bad.size:
-        lineno = _scan_rows(path)[1][bad[0]]
-        raise ValueError(f"non-finite count at line {lineno} of {path}")
     truth = None
     if meta.get("tau_on_s") is not None and meta.get("tau_off_s") is not None:
         truth = (meta["tau_on_s"], meta["tau_off_s"])

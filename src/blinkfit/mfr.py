@@ -187,8 +187,8 @@ def generate_training_corpus(
     bin_width) features.
     """
     lo, hi = tau_range
-    if not 0 < lo < hi:
-        raise ValueError("tau_range must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < np.inf:
+        raise ValueError("tau_range must satisfy 0 < lo < hi < inf")
     if N < 1:
         raise ValueError("need at least one training set")
     generator = np.random.default_rng(rng)

@@ -14,6 +14,14 @@ def run(args):
     return main(args)
 
 
+def assert_error(capsys, *names):
+    """stderr is one error line with no traceback, naming each of names."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
 class TestImport:
     def test_cli_imports_no_scipy(self):
         # numpy is the only runtime dependency; scipy is a test oracle only
@@ -108,6 +116,20 @@ class TestSimulate:
         assert run(["simulate", "--bin-width", "0", "--out", str(tmp_path / "x.csv")]) == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--duration", "--tau-on"])
+    def test_infinite_time_refused(self, tmp_path, capsys, flag):
+        # an infinite duration overflowed with a traceback; an infinite
+        # lifetime exited 0 and wrote Infinity into the sidecar
+        out = tmp_path / "x.csv"
+        assert run(["simulate", flag, "1e999s", "--out", str(out)]) == 1
+        assert_error(capsys, "positive and finite")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["simulate", "--duration", "0.1s", "--out", str(out)]) == 1
+        assert_error(capsys, str(out))
+
 
 @pytest.fixture(scope="module")
 def trace_200s(tmp_path_factory):
@@ -138,6 +160,12 @@ class TestAnalyze:
         bad.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
         assert run(["analyze", "--trace", str(bad), "--method", "lm"]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_report_into_missing_directory(self, trace_200s, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.json"
+        args = ["analyze", "--trace", str(trace_200s), "--method", "lm", "--report", str(report)]
+        assert run(args) == 1
+        assert_error(capsys, str(report))
 
     def test_bad_sidecar_reports_file(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -299,6 +327,22 @@ class TestTrainMfr:
         ) == 0
         assert "warning" in capsys.readouterr().err
 
+    def test_zero_count_refused_without_warning(self, tmp_path, capsys):
+        assert run(["train-mfr", "--count", "0", "--out", str(tmp_path / "m")]) == 1
+        assert_error(capsys, "training set")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_tau_max_refused(self, tmp_path, capsys):
+        # an infinite --tau-max overflowed in the feature count with a traceback
+        assert run(["train-mfr", "--tau-max", "1e999s", "--out", str(tmp_path / "m")]) == 1
+        assert_error(capsys, "tau_range")
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        base = tmp_path / "missing" / "m"
+        args = ["train-mfr", "--count", "5", "--duration", "0.2s", "--out", str(base)]
+        assert run(args) == 1
+        assert_error(capsys, f"{base}_on.json")
+
     def test_invalid_range(self, tmp_path):
         assert run(
             [
@@ -384,6 +428,9 @@ class TestBench:
             ({"durations": [0.2, 0.2]}, "strictly increasing"),
             ({"durations": []}, "non-empty"),
             ({"trials_per_cell": 1.5}, "trials_per_cell"),
+            ({"durations": [float("nan")]}, "finite"),
+            ({"durations": [2.0, float("inf")]}, "finite"),
+            ({"tau_on": float("inf")}, "finite"),
         ],
     )
     def test_bad_scenario(self, tmp_path, capsys, payload, message):

@@ -83,6 +83,14 @@ class TestGenerateTrace:
         with pytest.raises(ValueError):
             generate_trace(make_model(), 0.5e-3, 1e-3, None, rng=1)
 
+    @pytest.mark.parametrize(
+        "duration, bin_width", [(math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.nan)]
+    )
+    def test_non_finite_duration_or_bin_rejected(self, duration, bin_width):
+        # an infinite duration used to overflow in int(round(duration / bin_width))
+        with pytest.raises(ValueError, match="positive and finite"):
+            generate_trace(make_model(), duration, bin_width, None, rng=1)
+
     def test_bad_noise_mode_rejected(self):
         with pytest.raises(ValueError):
             generate_trace(make_model(), 1.0, 1e-3, "gaussian", rng=1)
@@ -208,6 +216,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             EmitterModel(tau_on=0.0, tau_off=1.0)
 
+    @pytest.mark.parametrize("tau_on, tau_off", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_finite_lifetimes_required(self, tau_on, tau_off):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EmitterModel(tau_on=tau_on, tau_off=tau_off)
+
 
 class TestTraceValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -215,6 +228,11 @@ class TestTraceValidation:
         # a NaN count used to pass, and auto_threshold cast it to 0
         with pytest.raises(ValueError, match=r"counts must be finite, got .* in bin 2"):
             BlinkTrace(bin_width=1e-3, counts=[12.0, 3.0, bad, 40.0, bad])
+
+    @pytest.mark.parametrize("bin_width", [0.0, -1e-3, np.nan, np.inf])
+    def test_bin_width_must_be_positive_and_finite(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width must be positive and finite"):
+            BlinkTrace(bin_width=bin_width, counts=[12.0, 3.0])
 
     def test_finite_counts_accepted(self):
         trace = BlinkTrace(bin_width=1e-3, counts=[12, 3.5, -1.0, 1e300])
@@ -371,6 +389,7 @@ class TestTraceIO:
             ({"bin_width_s": "0.001"}, "bin_width_s must be a number"),
             ({"bin_width_s": 0}, "bin_width_s must be positive"),
             ('{"bin_width_s": NaN}', "bin_width_s must be positive"),
+            ('{"bin_width_s": Infinity}', "bin_width_s must be positive and finite"),
             ('{"bin_width_s": 0\n', "not valid JSON"),
         ],
         ids=[
@@ -379,6 +398,7 @@ class TestTraceIO:
             "string-bin-width",
             "zero-bin-width",
             "nan-bin-width",
+            "infinite-bin-width",
             "malformed",
         ],
     )
