@@ -131,6 +131,9 @@ def _cmd_analyze(args) -> int:
         models = {s: mfr_mod.MfrModel.load(f"{args.model}_{s}.json") for s in ("on", "off")}
     if args.method == "ga" and args.ga_config:
         ga_config = ga_mod.GaConfig.from_json(args.ga_config)
+    if args.report:
+        # an unwritable report fails here, before the analysis runs
+        Path(args.report).write_text("")
     threshold, estimates = bench_mod.analyze_trace(
         trace, args.method, args.seed, models=models, ga_config=ga_config
     )
@@ -181,14 +184,6 @@ def _load_scenario(spec: str, trials: int | None) -> bench_mod.Scenario:
 
 
 def _cmd_bench(args) -> int:
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        return _Parser._fail(f"output directory not writable: {exc}")
     try:
         scenario = _load_scenario(args.scenario, args.trials)
     except (OSError, ValueError) as exc:
@@ -199,6 +194,15 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in bench_mod.METHODS:
             return _Parser._fail(f"unknown method {m!r}")
+    # the output directory is made only for a run that will start
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        probe = out_dir / ".write-probe"
+        probe.write_text("")
+        probe.unlink()
+    except OSError as exc:
+        return _Parser._fail(f"output directory not writable: {exc}")
 
     models = None
     if "mfr" in methods:

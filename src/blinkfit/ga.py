@@ -4,12 +4,12 @@ Individuals are random subsets of a dwell histogram's (duration,
 occurrences) pairs, held as sorted row indices into hist.pairs().  Each
 generation the two live individuals are clustered (K-means++ seeding,
 Lloyd refinement), scored by mean silhouette minus an elitism penalty, and
-either yield a lifetime estimate from the tightest cluster of the winner
-or are replaced by two independently mutated clones of the winner.
-Accepted estimates accumulate until their rolling window stabilizes; an
-exhausted iteration budget instead returns a weighted blend of the
-estimate log.  A caller sets only GaConfig's tau_range and max_iterations;
-every other hyperparameter is a module constant.
+either yield a lifetime estimate from the winner's tightest cluster that
+yields one or are replaced by two independently mutated clones of the
+winner.  Accepted estimates accumulate until their rolling window
+stabilizes; an exhausted iteration budget instead returns a weighted blend
+of the estimate log.  A caller sets only GaConfig's tau_range and
+max_iterations; every other hyperparameter is a module constant.
 """
 
 from __future__ import annotations
@@ -331,20 +331,31 @@ def mutate(
     return np.sort(out)
 
 
-def _median_rows(rows) -> tuple[float, float, float]:
-    """D_M, C_M and C_max of a cluster's (duration, count) rows.
+def extract_tau(rows, bin_width: float) -> float:
+    """Convert a cluster's (duration, count) rows to a lifetime, or refuse it.
 
-    Rows are sorted by duration, then count; M is the lower
-    occurrence-weighted median row and C_max the count of the last row.
-    Plain Python numbers, so screening a cluster costs no numpy call; the
-    running totals add in row order, as a cumsum does.  Raises ValueError
-    or DegenerateClusterError when the rows cannot give a lifetime.
+    The rows (Python lists or an (n, 2) array) are sorted as tuples by
+    duration, then count.  With M the lower occurrence-weighted median row,
+    D_M its duration, C_M its count and C_max the count of the last row:
+
+        tau = D_M / (ln 2 * |ln C_max - ln C_M|)
+
+    The ln 2 converts the median of an exponential decay to its mean; the
+    absolute value keeps tau positive on decaying histograms where the
+    longest point carries the lowest count.  Plain Python arithmetic, so a
+    cluster of lists costs no numpy call; the running totals add in row
+    order, as a cumsum does.  Raises ValueError or DegenerateClusterError
+    when the rows cannot give a lifetime.
     """
+    try:
+        rows = [(d, c) for d, c in rows]
+    except (TypeError, ValueError):  # rows that are not (duration, count) pairs
+        rows = []
     if len(rows) < 2:
         raise ValueError("cluster must contain at least two (duration, count) points")
     if min(c for _, c in rows) <= 0:
         raise ValueError("occurrence counts must be positive")
-    rows = sorted(rows)
+    rows.sort()
     if rows[0][0] == rows[-1][0]:
         raise ValueError("cluster must span at least two distinct durations")
     cum = list(itertools.accumulate(c for _, c in rows))
@@ -355,26 +366,6 @@ def _median_rows(rows) -> tuple[float, float, float]:
         raise DegenerateClusterError(
             "median and maximum-duration counts coincide; decay rate undefined"
         )
-    return d_m, c_m, c_max
-
-
-def extract_tau(points: np.ndarray, bin_width: float) -> float:
-    """Convert a winning cluster to a lifetime.
-
-    With M the cluster's occurrence-weighted median point (lower median),
-    D_M its duration, C_M its count and C_max the count of the cluster's
-    longest-duration point:
-
-        tau = D_M / (ln 2 * |ln C_max - ln C_M|)
-
-    The ln 2 converts the median of an exponential decay to its mean; the
-    absolute value keeps tau positive on decaying histograms where the
-    longest point carries the lowest count.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("cluster must contain at least two (duration, count) points")
-    d_m, c_m, c_max = _median_rows(pts.tolist())
     return float(d_m * bin_width / (_LN2 * abs(math.log(c_max) - math.log(c_m))))
 
 
@@ -388,35 +379,29 @@ def _normalize(points: np.ndarray) -> np.ndarray:
 
 
 def _candidate_tau(points: np.ndarray, clustering: Clustering, bin_width: float):
-    """Extract a lifetime from the tightest extractable cluster.
+    """The lifetime of the tightest cluster that yields one, or None.
 
-    Clusters are tried in order of increasing mean member distance to
-    their centroid (lowest index on ties).  Clusters that _median_rows,
-    the checks inside extract_tau, rejects are dropped before any
-    tightness is computed, so extract_tau is called at most once, on the
-    cluster it returns for, and tightness only when at least two clusters
-    remain.  Returns the lifetime or None.
+    extract_tau is called once on every cluster's rows, and the clusters
+    it refuses are dropped.  Tightness, the mean member distance to the
+    centroid, is computed only when at least two clusters yield a
+    lifetime; a tie goes to the lowest index.
     """
     labels = clustering.assignment
     members: list[list] = [[] for _ in range(clustering.k)]
     for label, row in zip(labels.tolist(), points.tolist()):
         members[label].append(row)
-    candidates = []
+    taus = {}
     for j, rows in enumerate(members):
         try:
-            _median_rows(rows)
+            taus[j] = extract_tau(rows, bin_width)
         except (DegenerateClusterError, ValueError):
             continue
-        candidates.append(j)
-    if not candidates:
-        return None
-    best = candidates[0]
-    if len(candidates) > 1:
-        own = np.sqrt(((clustering.points - clustering.centroids[labels]) ** 2).sum(axis=1))
-        # a per-cluster mean, not a bincount: over 8 or more members .mean()
-        # sums pairwise, and a last-bit change could reorder near-ties
-        best = min(candidates, key=lambda j: own[labels == j].mean())
-    return extract_tau(points[labels == best], bin_width)
+    if len(taus) < 2:
+        return next(iter(taus.values()), None)
+    own = np.sqrt(((clustering.points - clustering.centroids[labels]) ** 2).sum(axis=1))
+    # a per-cluster mean, not a bincount: over 8 or more members .mean()
+    # sums pairwise, and a last-bit change could reorder near-ties
+    return taus[min(taus, key=lambda j: own[labels == j].mean())]
 
 
 def _blend(estimates: list[float], bin_width: float) -> float:
@@ -439,9 +424,9 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     candidate lifetime and the rolling mean of previous estimates (the
     heuristic seed anchors the penalty before the first acceptance).  A
     winner above the silhouette threshold contributes the lifetime of its
-    tightest cluster to the estimate log and the population is respawned;
-    otherwise two independently mutated clones of the winner form the next
-    generation.  After every K_PATIENCE consecutive sub-threshold
+    tightest cluster that yields one to the estimate log and the population
+    is respawned; otherwise two independently mutated clones of the winner
+    form the next generation.  After every K_PATIENCE consecutive sub-threshold
     generations the cluster count steps through [2, min(K_MAX, subset
     size)].  Returns the rolling median once the last ROLLING_WINDOW
     accepted estimates agree to STABILITY_REL_TOL, or the blended

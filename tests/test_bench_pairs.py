@@ -3,7 +3,8 @@
 A perf change is accepted or refused on these verdicts, so their edges
 are pinned here: the direction a metric's `better` sets, the 9-of-10
 pair count, a median gap against the parent's interquartile range, and
-the bound itself.
+the bound itself.  The traced per-layer runs are checked with perfbench
+stubbed out.
 """
 
 import importlib.util
@@ -95,3 +96,43 @@ class TestJudge:
         out = verdict(tool, parent, [factor] * 10, metric)
         assert out["within_bound"] is within
         assert not out["gain"]
+
+
+class TestPerLayer:
+    def test_one_traced_run_per_workload_and_side(self, tool, monkeypatch):
+        calls = []
+
+        def fake_run_once(checkout, workload, seed, seconds, trace=0):
+            calls.append((checkout, workload, seed, seconds, trace))
+            return {"seed": seed, "exit": 0, "metrics": {"ga.extract_tau.calls": 1.0}}
+
+        monkeypatch.setattr(tool, "run_once", fake_run_once)
+        checkouts = {"parent": Path("p"), "change": Path("c")}
+        out = tool.per_layer(checkouts, ["sweep-2s", "long-lm"], 101, 30)
+        assert list(out) == ["sweep-2s", "long-lm"]
+        for workload, sides in out.items():
+            assert list(sides) == ["parent", "change"]
+            for side, run in sides.items():
+                assert run["metrics"] == {"ga.extract_tau.calls": 1.0}
+                assert (checkouts[side], workload, 101, 30, 1) in calls
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("trace", [0, 1])
+    def test_run_once_passes_the_trace_level(self, tool, monkeypatch, trace):
+        seen = {}
+
+        class Proc:
+            returncode = 0
+            stdout = 'fact: results.csv sha256=abc (first sweep)\n{"correct": true, ' \
+                     '"attempted": 3, "failed": 0, "metrics": {"x": {"value": 2.0}}}\n'
+            stderr = ""
+
+        def fake_run(cmd, **kwargs):
+            seen["cmd"] = cmd
+            return Proc()
+
+        monkeypatch.setattr(tool.subprocess, "run", fake_run)
+        run = tool.run_once(Path("c"), "sweep-2s", 7, 30, trace=trace)
+        assert seen["cmd"][-2:] == ["--trace", str(trace)]
+        assert run == {"seed": 7, "exit": 0, "correct": True, "attempted": 3, "failed": 0,
+                       "metrics": {"x": 2.0}, "results_hash": "results.csv sha256=abc"}

@@ -15,11 +15,15 @@ def run(args):
 
 
 def assert_error(capsys, *names):
-    """stderr is one error line with no traceback, naming each of names."""
-    err = capsys.readouterr().err
+    """stderr is one error line with no traceback, naming each of names.
+
+    Returns what was printed to stdout.
+    """
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in err
     for name in names:
         assert name in err
+    return out
 
 
 class TestImport:
@@ -162,10 +166,22 @@ class TestAnalyze:
         assert "line 3" in capsys.readouterr().err
 
     def test_report_into_missing_directory(self, trace_200s, tmp_path, capsys):
+        # refused before the analysis runs: no estimate is printed
         report = tmp_path / "missing" / "r.json"
-        args = ["analyze", "--trace", str(trace_200s), "--method", "lm", "--report", str(report)]
-        assert run(args) == 1
-        assert_error(capsys, str(report))
+        for method in ("lm", "ga"):
+            args = ["analyze", "--trace", str(trace_200s), "--method", method,
+                    "--report", str(report)]
+            assert run(args) == 1
+            assert "tau_" not in assert_error(capsys, str(report))
+
+    def test_no_report_when_an_input_fails(self, trace_200s, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        missing = str(tmp_path / "missing.json")
+        for extra in (["--trace", missing, "--method", "lm"],
+                      ["--trace", str(trace_200s), "--method", "ga", "--ga-config", missing]):
+            assert run(["analyze", *extra, "--report", str(report)]) == 1
+            assert_error(capsys, missing)
+            assert not report.exists()
 
     def test_bad_sidecar_reports_file(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -401,13 +417,16 @@ class TestBench:
         assert (out / "heatmap_off.csv").exists()
 
     def test_unknown_method(self, tmp_path):
-        assert run(["bench", "--methods", "magic", "--out", str(tmp_path / "o")]) == 1
+        out = tmp_path / "o"
+        assert run(["bench", "--methods", "magic", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_empty_method_list(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run(["bench", "--methods", ",", "--out", str(out)]) == 1
         assert "names no method" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+        assert not out.exists()
 
     def test_scenario_presets_load(self):
         from blinkfit.cli import _load_scenario
@@ -436,10 +455,13 @@ class TestBench:
     def test_bad_scenario(self, tmp_path, capsys, payload, message):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(payload))
-        out = str(tmp_path / "o")
-        assert run(["bench", "--scenario", str(scenario), "--methods", "lm", "--out", out]) == 1
+        out = tmp_path / "o"
+        assert run(
+            ["bench", "--scenario", str(scenario), "--methods", "lm", "--out", str(out)]
+        ) == 1
         err = capsys.readouterr().err
         assert "bad scenario" in err and message in err and str(scenario) in err
+        assert not out.exists()
 
     def test_deterministic_outputs(self, tmp_path):
         scenario = tmp_path / "scenario.json"

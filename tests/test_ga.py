@@ -372,6 +372,15 @@ class TestExtractTau:
         with pytest.raises(ValueError):
             extract_tau(np.array([[3.0, 0.0], [5.0, 2.0]]), 1e-3)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [np.array([3.0, 7.0, 9.0]), np.array([[3.0, 7.0, 1.0], [9.0, 2.0, 1.0]])],
+        ids=["one-dimensional", "three-columns"],
+    )
+    def test_malformed_shape_refused(self, rows):
+        with pytest.raises(ValueError, match="at least two \\(duration, count\\) points"):
+            extract_tau(rows, 1e-3)
+
     @pytest.mark.parametrize("tau_ms", [5.0, 15.0, 45.0])
     def test_exponential_histogram_oracle(self, tau_ms):
         # exact decaying histogram; head cluster spanning a factor >= 2 in

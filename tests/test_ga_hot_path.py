@@ -2,11 +2,12 @@
 
 kmeans_cluster takes every centroid from one np.bincount, skips the
 empty-cluster repair when no cluster is empty, and draws K-means++ seeds
-without rng.choice; _candidate_tau screens out the clusters extract_tau
-would reject before calling it, with the Python-number checks extract_tau
-itself now makes.  The reference functions below are the
-earlier per-cluster loops, kept verbatim, and the tests require equal
-bits, not closeness: the rewrite changes no arithmetic order.
+without rng.choice; _candidate_tau calls extract_tau once on every
+cluster's Python rows, so extract_tau itself is the screen, and computes
+tightness only when two or more clusters yield a lifetime.  The reference
+functions below are the earlier per-cluster loops, kept verbatim, and the
+tests require equal bits, not closeness: the rewrite changes no
+arithmetic order.
 
 kmeans_cluster also reads its K-means++ weights and first assignment from
 one pairwise distance table and stops one Lloyd iteration early when that
@@ -254,12 +255,45 @@ class TestExtractTau:
             try:
                 expected = ref_extract_tau(rows, 1e-3)
             except (DegenerateClusterError, ValueError) as err:
-                with pytest.raises(type(err), match=re.escape(str(err))):
-                    extract_tau(rows, 1e-3)
+                for given in (rows, rows.tolist()):
+                    with pytest.raises(type(err), match=re.escape(str(err))):
+                        extract_tau(given, 1e-3)
                 raised += 1
                 continue
             assert extract_tau(rows, 1e-3) == expected, rows.tolist()
+            assert extract_tau(rows.tolist(), 1e-3) == expected, rows.tolist()
         assert 1000 < raised < 19000
+
+
+class TestCandidateTau:
+    def test_one_extract_tau_call_per_cluster(self, monkeypatch):
+        # extract_tau is the screen: every cluster goes through it once, so
+        # a wrapper on the module global sees each refusal
+        outcomes = []
+
+        def counting(rows, bin_width):
+            try:
+                tau = extract_tau(rows, bin_width)
+            except (DegenerateClusterError, ValueError):
+                outcomes.append("refused")
+                raise
+            outcomes.append("lifetime")
+            return tau
+
+        monkeypatch.setattr(ga, "extract_tau", counting)
+        rng = np.random.default_rng(12)
+        refused = accepted = 0
+        for seed in range(1000):
+            points = ga_like_points(rng)
+            k = int(rng.integers(2, min(ga.K_MAX, len(points)) + 1))
+            clustering = kmeans_cluster(_normalize(points), k, np.random.default_rng(seed))
+            outcomes.clear()
+            tau = _candidate_tau(points, clustering, 1e-3)
+            assert len(outcomes) == k
+            assert tau == ref_candidate_tau(points, clustering, 1e-3)
+            refused += outcomes.count("refused")
+            accepted += tau is not None
+        assert refused > 0 and 0 < accepted < 1000
 
 
 class TestDrawIndex:

@@ -8,14 +8,17 @@ its files are now.  For each workload in BENCHMARK.json and each of
 SEEDS, `perfbench/run.py --trace 0` runs once on each side for the
 benchmark's run_seconds, the side that goes first alternating from pair
 to pair.  Then `sweep-2s` runs on HASH_SEEDS on both sides for the
-`results.csv sha256=` lines that show the output did not change.  Runs
-are sequential, one process at a time.
+`results.csv sha256=` lines that show the output did not change.  Last,
+each workload runs once per side with `--trace 1` at the first seed, for
+the per-layer counters and self times; a traced run reports no end-to-end
+metrics, so it is judged by nothing.  Runs are sequential, one process at
+a time.
 
 The JSON written holds every run's end-to-end metrics, `correct`,
 `attempted` and `failed`; per workload and side the median and quartiles
-of each metric; the pairs the change won; the hash lines; and the
-machine facts the runs printed.  Per workload and metric it also judges
-the runs:
+of each metric; the pairs the change won; the hash lines; the traced
+runs under `per_layer[workload][side]`; and the machine facts the runs
+printed.  Per workload and metric it also judges the untraced runs:
 
 - `gain`: the change won at least 9 of 10 pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -53,10 +56,10 @@ def export(rev: str, into: Path) -> Path:
     return dest
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run; its result line, hash and machine facts."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run at the given trace level; its result line, hash and machine facts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     run = {"seed": seed, "exit": proc.returncode}
@@ -121,6 +124,18 @@ def pairs(checkouts: dict, workload: str, seeds, seconds: float, metrics: list) 
     return entry
 
 
+def per_layer(checkouts: dict, workloads: list, seed: int, seconds: float) -> dict:
+    """One traced run per workload and side, keyed [workload][side]."""
+    out = {}
+    for workload in workloads:
+        out[workload] = {}
+        for side, checkout in checkouts.items():
+            run = run_once(checkout, workload, seed, seconds, trace=1)
+            out[workload][side] = run
+            print(f"traced {workload} seed {seed} {side}: exit {run['exit']}", flush=True)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -152,6 +167,7 @@ def main(argv=None) -> int:
                 hashes[side][str(seed)] = run.get("results_hash", run.get("error"))
                 print(f"hash seed {seed} {side}: {hashes[side][str(seed)]}", flush=True)
                 report.setdefault("machine", run.get("machine"))
+        report["per_layer"] = per_layer(checkouts, workloads, SEEDS[0], seconds)
     report["results_hashes"] = hashes
     report["results_hashes_equal"] = hashes["parent"] == hashes["change"]
     args.out.write_text(json.dumps(report, indent=2) + "\n")
