@@ -42,7 +42,6 @@ from .errors import (
     DivergenceError,
     EmptyHistogramError,
     InsufficientDataError,
-    NoEstimateError,
     NoSeparationError,
     RankDeficientError,
 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -146,7 +147,9 @@ def _cmd_analyze(args) -> int:
         else:
             _print_estimate(state, est)
             report[f"tau_{state}_s"] = est.tau_hat
-            report[f"tau_{state}_std_err_s"] = est.std_err
+            # JSON has no NaN: an unknown uncertainty is written as null
+            std_err = est.std_err if math.isfinite(est.std_err) else None
+            report[f"tau_{state}_std_err_s"] = std_err
         report[f"{state}_converged"] = est.converged
     if trace.truth is not None:
         print(f"sidecar truth: tau_on={trace.truth[0]} s tau_off={trace.truth[1]} s")

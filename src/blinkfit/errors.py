@@ -27,7 +27,3 @@ class RankDeficientError(BlinkfitError):
 
 class DegenerateClusterError(BlinkfitError):
     """Cluster has equal median/max occurrence counts; decay rate undefined."""
-
-
-class NoEstimateError(BlinkfitError):
-    """Genetic algorithm exhausted its iteration budget without any estimate."""

@@ -6,9 +6,11 @@ generation the two live individuals are clustered (K-means++ seeding,
 Lloyd refinement), scored by mean silhouette minus an elitism penalty, and
 either yield a lifetime estimate from the winner's tightest cluster that
 yields one or are replaced by two independently mutated clones of the
-winner.  Accepted estimates accumulate until their rolling window
-stabilizes; an exhausted iteration budget instead returns a weighted blend
-of the estimate log.  A caller sets only GaConfig's tau_range and
+winner.  A run ends in one of three ways: "stability", once the rolling
+window of accepted estimates agrees; "patience", once a full cycle of
+cluster counts has passed with nothing accepted; or "max_iterations",
+once the generation budget runs out.  The last two return a weighted
+blend of the estimate log.  A caller sets only GaConfig's tau_range and
 max_iterations; every other hyperparameter is a module constant.
 """
 
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dwell import DwellHistogram, mean_dwell
-from .errors import DegenerateClusterError, InsufficientDataError, NoEstimateError
+from .errors import DegenerateClusterError, InsufficientDataError
 from .estimate import RateEstimate, load_fields
 
 _LN2 = math.log(2.0)
@@ -38,7 +40,7 @@ ELITISM_PENALTY_WEIGHT = 0.5
 ROLLING_WINDOW = 10
 STABILITY_REL_TOL = 0.02
 # weights of the estimate log's (final, mean, mode, median) in the blend
-# returned when max_iterations runs out before the estimate stabilizes
+# returned when a run ends before the estimate stabilizes
 BLEND_WEIGHTS = (0.4, 0.2, 0.2, 0.2)
 # K-means stops once no point is reassigned and no centroid moves further
 MOVEMENT_TOL = 1e-9
@@ -426,12 +428,28 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     winner above the silhouette threshold contributes the lifetime of its
     tightest cluster that yields one to the estimate log and the population
     is respawned; otherwise two independently mutated clones of the winner
-    form the next generation.  After every K_PATIENCE consecutive sub-threshold
-    generations the cluster count steps through [2, min(K_MAX, subset
-    size)].  Returns the rolling median once the last ROLLING_WINDOW
-    accepted estimates agree to STABILITY_REL_TOL, or the blended
-    estimate log at config.max_iterations.  The result is always clamped
-    to config.tau_range.
+    form the next generation.  After every K_PATIENCE consecutive
+    sub-threshold generations the cluster count steps through
+    [2, k_hi], k_hi = min(K_MAX, subset size).
+
+    diagnostics["termination"] names how the run ended:
+
+    - "stability": the last ROLLING_WINDOW accepted estimates agree to
+      STABILITY_REL_TOL; the result is their median.
+    - "patience": K_PATIENCE * (k_hi - 1) generations in a row accepted
+      nothing, so every cluster count in [2, k_hi] has had its K_PATIENCE
+      generations since the last acceptance; the result is the blended
+      estimate log.
+    - "max_iterations": config.max_iterations generations ran; the result
+      is the blended estimate log.
+
+    The result is always clamped to config.tau_range.  std_err is the
+    standard error of the stable window, or of the estimate log on a
+    blend; it is NaN when nothing was accepted, since the heuristic seed
+    alone carries no spread.  converged stays True on such a fallback:
+    diagnostics["accepted"] == 0 already marks it, and False would blank
+    most GA cells on 2 s traces, where most runs accept nothing, and with
+    them the duration at which acceptance criterion 4 compares precision.
     """
     generator = np.random.default_rng(rng)
     m = len(hist)
@@ -451,11 +469,12 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
 
     k = max(2, min(K_INIT, subset_size))
     k_hi = max(2, min(K_MAX, subset_size))
-    streak = 0
+    patience = K_PATIENCE * (k_hi - 1)
+    drought = 0  # generations since the last accepted estimate
     individuals = [spawn_individual(hist, generator) for _ in range(2)]
     termination = "max_iterations"
     tau_final = None
-    std_err = 0.0
+    std_err = float("nan")
 
     for iteration in range(config.max_iterations):
         scored = []
@@ -477,7 +496,7 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
         if score > SILHOUETTE_THRESHOLD and tau_c is not None:
             estimates.append(tau_c)
             log_rows.append((iteration, tau_c, sil, k))
-            streak = 0
+            drought = 0
             if len(estimates) >= ROLLING_WINDOW:
                 window = np.asarray(estimates[-ROLLING_WINDOW :])
                 med = float(np.median(window))
@@ -488,20 +507,20 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
                     break
             individuals = [spawn_individual(hist, generator) for _ in range(2)]
         else:
-            streak += 1
+            drought += 1
+            if drought == patience:
+                termination = "patience"
+                break
             child_a, child_b = crossover_clone_exchange(winner, generator)
             individuals = [
                 mutate(child_a, hist, generator),
                 mutate(child_b, hist, generator),
             ]
-            if streak >= K_PATIENCE:
+            if drought % K_PATIENCE == 0:
                 # cycle the cluster count through [2, k_hi]
                 k = k + 1 if k < k_hi else 2
-                streak = 0
 
     if tau_final is None:
-        if not np.all(np.isfinite(estimates)):
-            raise NoEstimateError("estimate log is not finite")
         tau_final = _blend(estimates, hist.bin_width)
         if len(estimates) >= 2:
             std_err = float(np.std(estimates, ddof=1) / math.sqrt(len(estimates)))

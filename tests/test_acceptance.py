@@ -32,13 +32,14 @@ estimator that ignores its data cannot win the ratio.
 
 Criteria 1 and 2 still fail, at their stated threshold:
 
-- GA scores 0.844 for tau_on at 2 s (tau_off at 20 s: 0.934).  On the same
-  traces the heuristic seed alone scores 0.854.  In the 27/100 runs that
-  accept evolved estimates accuracy falls from 0.900 to 0.840, because
-  `extract_tau`'s candidates run high (median 1.19 tau_on).  On an exact
-  exponential its documented formula returns
-  tau * D_M / (ln 2 * (D_max - D_M)), which is right only when
-  D_max ~ 2.44 D_M.  PAPER.md does not give the conversion and
+- GA scores 0.845 for tau_on at 2 s (tau_off at 20 s: 0.935).  On the same
+  traces the heuristic seed alone scores 0.854.  84/100 runs accept nothing
+  and return the seed, blended with its value rounded to a bin.  In the
+  16/100 that accept evolved estimates, accuracy falls from the seed's
+  0.916 to 0.852, because `extract_tau`'s candidates run high (median 1.19
+  tau_on over the 89 logged).  On an exact exponential its documented
+  formula returns tau * D_M / (ln 2 * (D_max - D_M)), which is right only
+  when D_max ~ 2.44 D_M.  PAPER.md does not give the conversion and
   tests/test_ga.py::TestExtractTau pins the formula, so it stays.
 - MFR scores 0.715 for tau_on at 2 s and 0.558 for tau_off at 20 s.  With
   DEFAULT_RIDGE_LAMBDA = 3000 and 20 training traces the predictions

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -251,6 +252,26 @@ class TestSharedPipeline:
         for state, est in estimates.items():
             assert payload[f"tau_{state}_s"] == est.tau_hat
             assert payload[f"{state}_converged"] == est.converged
+
+    def test_report_writes_unknown_std_err_as_null(self, trace_2s, tmp_path):
+        # the on-state GA run accepts nothing, so its std_err is NaN, which
+        # JSON cannot hold
+        from blinkfit.bench import analyze_trace
+        from blinkfit.cli import DEFAULT_SEED
+        from blinkfit.emitter import read_trace
+
+        report = tmp_path / "r.json"
+        run(["analyze", "--trace", str(trace_2s), "--method", "ga", "--report", str(report)])
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(report.read_text(), parse_constant=refuse)
+        _, estimates = analyze_trace(read_trace(trace_2s), "ga", DEFAULT_SEED)
+        assert estimates["on"].diagnostics["accepted"] == 0
+        assert math.isnan(estimates["on"].std_err)
+        assert payload["tau_on_std_err_s"] is None
+        assert payload["tau_off_std_err_s"] == estimates["off"].std_err
 
     def test_ga_config_unknown_key(self, trace_2s, tmp_path, capsys):
         cfg = tmp_path / "ga.json"

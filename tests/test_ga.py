@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from blinkfit import ga
 from blinkfit.dwell import DwellHistogram, auto_threshold, binarize, dwell_histogram
 from blinkfit.emitter import EmitterModel, generate_trace
 from blinkfit.errors import DegenerateClusterError, InsufficientDataError
 from blinkfit.ga import (
+    K_MAX,
+    K_PATIENCE,
     MUTATION_RATE,
     SUBSET_FRACTION,
     Clustering,
@@ -452,6 +455,51 @@ class TestRunGa:
         assert diag["estimate_log"][-1][0] + 1 < cfg.max_iterations
         assert len(calls) == 2 * cfg.max_iterations  # two individuals per generation
         assert diag["iterations"] == cfg.max_iterations
+
+    @pytest.mark.parametrize("n_pairs, k_hi", [(2, 2), (4, 3), (20, K_MAX)])
+    def test_patience_ends_a_run_that_accepts_nothing(self, n_pairs, k_hi, monkeypatch):
+        # equal counts make every cluster's median and longest counts
+        # coincide, so no cluster yields a lifetime and nothing is accepted
+        h = hist({d: 5 for d in range(1, n_pairs + 1)})
+        calls = []
+        original = ga.silhouette
+
+        def counted(clustering):
+            calls.append(clustering.k)
+            return original(clustering)
+
+        monkeypatch.setattr(ga, "silhouette", counted)
+        cfg = GaConfig(tau_range=(1e-3, 100e-3))
+        est = run_ga(h, cfg, rng=3)
+        diag = est.diagnostics
+        patience = K_PATIENCE * (k_hi - 1)
+        assert diag["termination"] == "patience"
+        assert diag["accepted"] == 0
+        assert diag["iterations"] == patience
+        assert len(calls) == 2 * patience  # two individuals per generation
+        # every cluster count in [2, k_hi] had its K_PATIENCE generations
+        assert sorted(set(calls)) == list(range(2, k_hi + 1))
+        assert all(calls.count(k) == 2 * K_PATIENCE for k in set(calls))
+        seed = heuristic_estimate(h, cfg.tau_range)
+        assert est.tau_hat == min(max(ga._blend([seed], h.bin_width), 1e-3), 100e-3)
+        assert math.isnan(est.std_err)
+        assert est.converged
+
+    @pytest.mark.parametrize("duration, state, seed", [(2.0, "off", 0), (200.0, "on", 0)])
+    def test_no_accepting_run_outlasts_its_patience(self, duration, state, seed):
+        h = self.make_hist(duration=duration, seed=seed, state=state)
+        est = run_ga(h, GaConfig(tau_range=(1e-3, 100e-3)), rng=seed)
+        diag = est.diagnostics
+        k_hi = min(K_MAX, math.ceil(SUBSET_FRACTION * len(h)))
+        patience = K_PATIENCE * (k_hi - 1)
+        accepted_at = [row[0] for row in diag["estimate_log"]]
+        assert diag["accepted"] == len(accepted_at) >= 1
+        # generations without an acceptance before each accepted one
+        gaps = np.diff([-1, *accepted_at]) - 1
+        assert gaps.max() < patience
+        if diag["termination"] == "patience":
+            assert diag["iterations"] - 1 - accepted_at[-1] == patience
+        assert np.isfinite(est.std_err)
 
     def test_config_roundtrip(self, tmp_path):
         cfg = GaConfig(tau_range=(2e-3, 90e-3), max_iterations=300)

@@ -227,18 +227,24 @@ class TestBitIdentity:
     @pytest.mark.parametrize("duration", [2.0, 20.0])
     def test_run_ga_output(self, duration, monkeypatch):
         model = EmitterModel(tau_on=15e-3, tau_off=45e-3)
-        cfg = GaConfig(tau_range=(1e-3, 100e-3), max_iterations=120)
+        # 120 generations stay below every patience (20 to 140); 500 reach it
+        configs = [GaConfig(tau_range=(1e-3, 100e-3), max_iterations=n) for n in (120, 500)]
         cases = []
         for seed in range(10):
             trace = generate_trace(model, duration, 1e-3, "poisson", rng=1000 + seed)
             cases.extend(dwell_histogram(binarize(trace, auto_threshold(trace))))
-        new = [run_ga(h, cfg, rng=seed) for seed, h in enumerate(cases)]
+        new = [[run_ga(h, cfg, rng=seed) for seed, h in enumerate(cases)] for cfg in configs]
         monkeypatch.setattr(ga, "kmeans_cluster", ref_kmeans_cluster)
         monkeypatch.setattr(ga, "_candidate_tau", ref_candidate_tau)
-        ref = [run_ga(h, cfg, rng=seed) for seed, h in enumerate(cases)]
+        ref = [[run_ga(h, cfg, rng=seed) for seed, h in enumerate(cases)] for cfg in configs]
         assert len(cases) == 20
-        for a, b in zip(new, ref):
-            assert (a.tau_hat, a.std_err, a.diagnostics) == (b.tau_hat, b.std_err, b.diagnostics)
+        for cfg, runs, refs in zip(configs, new, ref):
+            for a, b in zip(runs, refs):
+                assert (a.tau_hat, a.diagnostics) == (b.tau_hat, b.diagnostics)
+                # a run that accepts nothing reports NaN, which equals nothing
+                assert a.std_err == b.std_err or math.isnan(a.std_err) and math.isnan(b.std_err)
+            endings = {est.diagnostics["termination"] for est in runs}
+            assert ("patience" in endings) == (cfg.max_iterations == 500)
 
 
 class TestExtractTau:
