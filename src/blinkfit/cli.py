@@ -28,7 +28,7 @@ from . import mfr as mfr_mod
 # the dwell and levmar names are unused here; perfbench/probe.py patches them on this module
 from .dwell import auto_threshold, binarize, dwell_histogram  # noqa: F401
 from .emitter import EmitterModel, generate_trace, read_trace, write_trace
-from .estimate import load_fields
+from .estimate import load_fields, save_fields
 from .levmar import fit_exponential  # noqa: F401
 
 DEFAULT_SEED = 1234
@@ -129,9 +129,9 @@ def _cmd_analyze(args) -> int:
     trace = read_trace(args.trace)
     models = ga_config = None
     if args.method == "mfr":
-        models = {s: mfr_mod.MfrModel.load(f"{args.model}_{s}.json") for s in ("on", "off")}
+        models = {s: load_fields(mfr_mod.MfrModel, f"{args.model}_{s}.json") for s in ("on", "off")}
     if args.method == "ga" and args.ga_config:
-        ga_config = ga_mod.GaConfig.from_json(args.ga_config)
+        ga_config = load_fields(ga_mod.GaConfig, args.ga_config)
     if args.report:
         # an unwritable report fails here, before the analysis runs
         Path(args.report).write_text("")
@@ -175,7 +175,7 @@ def _cmd_train_mfr(args) -> int:
         )
     for state, model in models.items():
         path = f"{args.out}_{state}.json"
-        model.save(path)
+        save_fields(model, path)
         print(f"wrote {path} (n={model.n}, duration={args.duration} s)")
     return 0
 

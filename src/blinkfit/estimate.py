@@ -1,14 +1,14 @@
-"""Common estimator output type and the config-file loader.
+"""Common estimator output type and the config-file writer and reader.
 
-RateEstimate is what every estimator returns.  load_fields reads the JSON
-files that hold a Scenario, a GaConfig or an MfrModel: one object whose
-keys are the dataclass's field names.
+RateEstimate is what every estimator returns.  save_fields writes and
+load_fields reads the JSON files that hold a Scenario, a GaConfig or an
+MfrModel: one object whose keys are the dataclass's field names.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -25,6 +25,15 @@ class RateEstimate:
     method: str
     converged: bool
     diagnostics: dict = field(default_factory=dict)
+
+
+def save_fields(obj, path) -> None:
+    """Write the dataclass obj's fields to path as one JSON object, keyed by name.
+
+    An ndarray is written as a list, which load_fields reads back as a tuple.
+    """
+    payload = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    Path(path).write_text(json.dumps(payload, default=lambda v: v.tolist()) + "\n")
 
 
 def load_fields(cls, path):

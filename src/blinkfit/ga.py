@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dwell import DwellHistogram, mean_dwell
 from .errors import DegenerateClusterError, InsufficientDataError
-from .estimate import RateEstimate, load_fields
+from .estimate import RateEstimate
 
 _LN2 = math.log(2.0)
 K_INIT = 3
@@ -60,15 +58,6 @@ class GaConfig:
             raise ValueError("tau_range must satisfy 0 < lo < hi")
         if type(self.max_iterations) is not int or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
-
-    def to_json(self, path) -> None:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-    @classmethod
-    def from_json(cls, path) -> "GaConfig":
-        """Load a file written by to_json (see estimate.load_fields)."""
-        return load_fields(cls, path)
 
 
 @dataclass(eq=False)

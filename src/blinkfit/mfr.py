@@ -12,11 +12,9 @@ was trained on, and records both.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .emitter import (
     generate_trace,
 )
 from .errors import EmptyHistogramError, RankDeficientError
-from .estimate import RateEstimate, load_fields
+from .estimate import RateEstimate
 
 # With 20 training sets and hundreds of features the least-squares system
 # is wildly underdetermined, and at this lambda the predictions collapse to
@@ -96,16 +94,6 @@ class MfrModel:
         if not (self.bin_width > 0 and self.trained_duration > 0):
             raise ValueError("bin_width and trained_duration must be positive")
 
-    def save(self, path) -> None:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["weights"] = self.weights.tolist()
-        Path(path).write_text(json.dumps(payload) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "MfrModel":
-        """Load a file written by save (see estimate.load_fields)."""
-        return load_fields(cls, path)
-
 
 def default_feature_count(tau_hi: float, bin_width: float) -> int:
     """Feature count covering dwells up to ten times the longest lifetime."""
@@ -136,7 +124,8 @@ def estimate(
     duration differs from the duration the model was trained on (raw
     counts scale with trace length).  A prediction that is not a positive
     lifetime is returned with converged False; diagnostics["truncated"]
-    says whether dwells longer than the model's n bins were dropped.
+    says whether dwells longer than the model's n bins were dropped.  The
+    model gives no uncertainty, so std_err is NaN.
     """
     if not math.isclose(hist.bin_width, model.bin_width, rel_tol=1e-9):
         raise ValueError(
@@ -154,7 +143,7 @@ def estimate(
     tau = float(model.weights @ featurize(hist, model.n))
     return RateEstimate(
         tau_hat=tau,
-        std_err=0.0,
+        std_err=float("nan"),
         method="mfr",
         converged=bool(np.isfinite(tau) and tau > 0),
         diagnostics={"truncated": bool(len(hist) and hist.indices[-1] > model.n)},

@@ -254,8 +254,8 @@ class TestSharedPipeline:
             assert payload[f"{state}_converged"] == est.converged
 
     def test_report_writes_unknown_std_err_as_null(self, trace_2s, tmp_path):
-        # the on-state GA run accepts nothing, so its std_err is NaN, which
-        # JSON cannot hold
+        # the on-state GA run accepts nothing and MFR gives no uncertainty, so
+        # their std_err is NaN, which JSON cannot hold
         from blinkfit.bench import analyze_trace
         from blinkfit.cli import DEFAULT_SEED
         from blinkfit.emitter import read_trace
@@ -272,6 +272,16 @@ class TestSharedPipeline:
         assert math.isnan(estimates["on"].std_err)
         assert payload["tau_on_std_err_s"] is None
         assert payload["tau_off_std_err_s"] == estimates["off"].std_err
+
+        # MFR gives no uncertainty for either state
+        base = tmp_path / "model"
+        assert run(["train-mfr", "--count", "2", "--duration", "2s", "--out", str(base)]) == 0
+        run(["analyze", "--trace", str(trace_2s), "--method", "mfr", "--model", str(base),
+             "--report", str(report)])
+        payload = json.loads(report.read_text(), parse_constant=refuse)
+        for state in ("on", "off"):
+            assert payload[f"tau_{state}_s"] is not None
+            assert payload[f"tau_{state}_std_err_s"] is None
 
     def test_ga_config_unknown_key(self, trace_2s, tmp_path, capsys):
         cfg = tmp_path / "ga.json"
