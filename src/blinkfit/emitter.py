@@ -47,6 +47,8 @@ class BlinkTrace:
     straddle a state transition); a NaN or infinite count raises
     ValueError.  hidden_states marks the majority state of
     each bin and truth carries the generating (tau_on, tau_off).
+    bin_width is kept as a Python float, so a numpy scalar never reaches
+    the time column write_trace formats.
     """
 
     bin_width: float
@@ -60,6 +62,7 @@ class BlinkTrace:
     def __post_init__(self):
         if not 0 < self.bin_width < np.inf:
             raise ValueError("bin_width must be positive and finite")
+        self.bin_width = float(self.bin_width)
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.size < 1:
             raise ValueError("trace must contain at least one bin")
@@ -217,16 +220,54 @@ def generate_trace(
     )
 
 
+# Rows formatted and written per call.  A few thousand keeps the buffers
+# small: in the trace-files benchmark, 65536-row chunks raised peak RSS
+# from 50 to 56 MB, and so did one %-format over a 2048-row chunk (through
+# its growing output buffer, under glibc 2.36), which was 10-20 % faster
+# than the str.join of per-row f-strings used here.
+_CHUNK_ROWS = 2048
+_EXACT_INT = 2.0**53  # below this, float64 -> int64 is exact
+
+
+def _count_cells(part: np.ndarray) -> list:
+    """The count cells of one chunk, as ints or as the strings to write.
+
+    A chunk whose counts are all integral and below 2**53 in magnitude
+    converts to int64 exactly, and an int formats as repr(int(c)).  Any
+    other chunk keeps the per-count rule, so 1e300 still prints as its
+    301-digit integer and 2**53 as its own digits.
+    """
+    if (np.abs(part) < _EXACT_INT).all() and (part == np.trunc(part)).all():
+        return part.astype(np.int64).tolist()
+    return [repr(int(c)) if c.is_integer() else repr(c) for c in part.tolist()]
+
+
 def write_trace(trace: BlinkTrace, path) -> None:
-    """Write a trace as CSV (t_s,counts) plus a JSON metadata sidecar."""
+    """Write a trace as CSV (t_s,counts) plus a JSON metadata sidecar.
+
+    The CSV is the header "t_s,counts" and one line "<t>,<count>\n" per
+    bin i.  <t> is repr(i * bin_width).  <count> is repr(int(c)) for an
+    integral count c (so -0.0 prints as 0) and repr(c) for any other.  The
+    sidecar sits at the path with suffix .json, so a path ending in .json
+    raises ValueError before anything is written.
+
+    The rows go out _CHUNK_ROWS at a time, one write per chunk, with the
+    bytes of a loop that formats one row at a time.  int64 to float64 is
+    exact below 2**53, so np.arange(...) * bin_width is the same single
+    IEEE product as i * bin_width, and .tolist() hands repr Python floats,
+    never np.float64(...).  The counts follow _count_cells.
+    """
     path = Path(path)
+    sidecar = path.with_suffix(".json")
+    if sidecar == path:
+        raise ValueError(f"trace path {path} ends in .json, where its sidecar goes")
+    bw = trace.bin_width
     with path.open("w") as fh:
         fh.write("t_s,counts\n")
-        bw = trace.bin_width
-        for i, c in enumerate(trace.counts):
-            c = float(c)
-            value = repr(int(c)) if c.is_integer() else repr(c)
-            fh.write(f"{repr(i * bw)},{value}\n")
+        for start in range(0, trace.counts.size, _CHUNK_ROWS):
+            part = trace.counts[start : start + _CHUNK_ROWS]
+            times = (np.arange(start, start + part.size) * bw).tolist()
+            fh.write("".join([f"{t!r},{c}\n" for t, c in zip(times, _count_cells(part))]))
     meta = {
         "bin_width_s": trace.bin_width,
         "mean_on_counts": trace.mean_on_counts,
@@ -235,7 +276,7 @@ def write_trace(trace: BlinkTrace, path) -> None:
         "tau_off_s": trace.truth[1] if trace.truth else None,
         "seed": trace.seed,
     }
-    path.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
+    sidecar.write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def _read_sidecar(sidecar: Path) -> dict:

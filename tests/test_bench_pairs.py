@@ -108,13 +108,14 @@ class TestPerLayer:
 
         monkeypatch.setattr(tool, "run_once", fake_run_once)
         checkouts = {"parent": Path("p"), "change": Path("c")}
-        out = tool.per_layer(checkouts, ["sweep-2s", "long-lm"], 101, 30)
+        out = tool.per_layer(checkouts, ["sweep-2s", "long-lm"], 101)
         assert list(out) == ["sweep-2s", "long-lm"]
         for workload, sides in out.items():
             assert list(sides) == ["parent", "change"]
             for side, run in sides.items():
                 assert run["metrics"] == {"ga.extract_tau.calls": 1.0}
-                assert (checkouts[side], workload, 101, 30, 1) in calls
+                # --seconds 0 runs one round, so both sides count the same ops
+                assert (checkouts[side], workload, 101, 0, 1) in calls
         assert len(calls) == 4
 
     @pytest.mark.parametrize("trace", [0, 1])

@@ -135,6 +135,13 @@ class TestSimulate:
         assert run(["simulate", "--duration", "0.1s", "--out", str(out)]) == 1
         assert_error(capsys, str(out))
 
+    def test_json_output_refused(self, tmp_path, capsys):
+        # the sidecar used to overwrite such a trace, after "wrote 50 bins"
+        out = tmp_path / "x.json"
+        assert run(["simulate", "--duration", "0.05s", "--out", str(out)]) == 1
+        assert assert_error(capsys, str(out), ".json") == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def trace_200s(tmp_path_factory):

@@ -238,6 +238,12 @@ class TestTraceValidation:
         trace = BlinkTrace(bin_width=1e-3, counts=[12, 3.5, -1.0, 1e300])
         assert len(trace) == 4
 
+    @pytest.mark.parametrize("bin_width", [np.float64(1e-3), np.float32(0.5), 2])
+    def test_bin_width_is_a_python_float(self, bin_width):
+        trace = BlinkTrace(bin_width=bin_width, counts=[12.0, 3.0])
+        assert type(trace.bin_width) is float
+        assert trace.bin_width == float(bin_width)
+
 
 def _pin_traces():
     """Traces whose written bytes TestTraceIO.test_written_bytes_digest pins.
@@ -443,3 +449,29 @@ class TestTraceIO:
         with pytest.raises(ValueError, match=message) as info:
             read_trace(path)
         assert str(path.with_suffix(".json")) in str(info.value)
+
+    def test_numpy_bin_width_roundtrips(self, tmp_path):
+        # a numpy bin width once wrote t_s cells such as np.float64(0.001),
+        # which read_trace refused as malformed
+        trace = generate_trace(make_model(), 0.01, np.float64(1e-3), "poisson", rng=3)
+        assert type(trace.bin_width) is float
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        assert path.read_text().splitlines()[2].startswith("0.001,")
+        back = read_trace(path)
+        np.testing.assert_array_equal(back.counts, trace.counts)
+        assert back.bin_width == 1e-3
+
+    @pytest.mark.parametrize("name", ["trace.json", "trace"])
+    def test_path_is_not_its_own_sidecar(self, tmp_path, name):
+        # a .json path was overwritten by its own sidecar; a path with no
+        # suffix keeps working, with its sidecar at <path>.json
+        trace = BlinkTrace(1e-3, [12.0, 3.0])
+        path = tmp_path / name
+        if name.endswith(".json"):
+            with pytest.raises(ValueError, match=f"{path} ends in .json"):
+                write_trace(trace, path)
+            assert list(tmp_path.iterdir()) == []
+        else:
+            write_trace(trace, path)
+            assert read_trace(path).counts.tolist() == [12.0, 3.0]

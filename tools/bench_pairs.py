@@ -9,10 +9,11 @@ SEEDS, `perfbench/run.py --trace 0` runs once on each side for the
 benchmark's run_seconds, the side that goes first alternating from pair
 to pair.  Then `sweep-2s` runs on HASH_SEEDS on both sides for the
 `results.csv sha256=` lines that show the output did not change.  Last,
-each workload runs once per side with `--trace 1` at the first seed, for
-the per-layer counters and self times; a traced run reports no end-to-end
-metrics, so it is judged by nothing.  Runs are sequential, one process at
-a time.
+each workload runs once per side with `--trace 1 --seconds 0` at the first
+seed, for the per-layer counters and self times: `--seconds 0` is exactly
+one round, so both sides' per-op counters average over the same ops.  A
+traced run reports no end-to-end metrics, so it is judged by nothing.
+Runs are sequential, one process at a time.
 
 The JSON written holds every run's end-to-end metrics, `correct`,
 `attempted` and `failed`; per workload and side the median and quartiles
@@ -124,13 +125,13 @@ def pairs(checkouts: dict, workload: str, seeds, seconds: float, metrics: list) 
     return entry
 
 
-def per_layer(checkouts: dict, workloads: list, seed: int, seconds: float) -> dict:
-    """One traced run per workload and side, keyed [workload][side]."""
+def per_layer(checkouts: dict, workloads: list, seed: int) -> dict:
+    """One traced one-round run per workload and side, keyed [workload][side]."""
     out = {}
     for workload in workloads:
         out[workload] = {}
         for side, checkout in checkouts.items():
-            run = run_once(checkout, workload, seed, seconds, trace=1)
+            run = run_once(checkout, workload, seed, 0, trace=1)
             out[workload][side] = run
             print(f"traced {workload} seed {seed} {side}: exit {run['exit']}", flush=True)
     return out
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
                 hashes[side][str(seed)] = run.get("results_hash", run.get("error"))
                 print(f"hash seed {seed} {side}: {hashes[side][str(seed)]}", flush=True)
                 report.setdefault("machine", run.get("machine"))
-        report["per_layer"] = per_layer(checkouts, workloads, SEEDS[0], seconds)
+        report["per_layer"] = per_layer(checkouts, workloads, SEEDS[0])
     report["results_hashes"] = hashes
     report["results_hashes_equal"] = hashes["parent"] == hashes["change"]
     args.out.write_text(json.dumps(report, indent=2) + "\n")
