@@ -249,7 +249,7 @@ def _pin_traces():
     """Traces whose written bytes TestTraceIO.test_written_bytes_digest pins.
 
     They cover Poisson and noise-free counts, counts that are integral
-    only in the float sense (-0.0, 2**53, 1e300), bin widths whose
+    only in the float sense (-0.0, 2**53, 1e300, -1e20), bin widths whose
     i * bin_width have long reprs, and a trace of 40000 rows with runs of
     integral and fractional counts longer than any chunk write_trace
     formats at once (some chunks all integral, some all fractional, some
@@ -258,6 +258,7 @@ def _pin_traces():
     yield generate_trace(make_model(), 20.0, 1e-3, "poisson", rng=5)
     yield generate_trace(make_model(), 20.0, 1e-3, None, rng=6)
     yield BlinkTrace(1e-3, [12, 3.5, -1.0, 1e300, -0.0, 2.0**53, 7.25])
+    yield BlinkTrace(1e-3, [7.0, 1e300, -1e20, 2.0**63])  # integral, beyond int64
     yield generate_trace(make_model(1.5, 0.7), 60.0, 0.1, "poisson", rng=7)
     yield generate_trace(make_model(), 2.0, 3e-4, None, rng=8)
     counts = np.arange(40000, dtype=float)
@@ -276,7 +277,7 @@ class TestTraceIO:
             h.update(path.read_bytes())
             h.update(path.with_suffix(".json").read_bytes())
         assert h.hexdigest() == (
-            "2709919b508772df5f84fc783e07cc8b2856db9aefdaf701787f0c12849afe93"
+            "9261aacf46e086ecf0683e55cb94f0d770c7051b11185df32291221c085fe60e"
         )
 
     def test_roundtrip(self, tmp_path):
