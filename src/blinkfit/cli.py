@@ -126,7 +126,12 @@ def _print_estimate(state: str, est) -> None:
 def _cmd_analyze(args) -> int:
     if args.method == "mfr" and not args.model:
         return _Parser._fail("--method mfr requires --model")
-    trace = read_trace(args.trace)
+    trace_path = Path(args.trace)
+    if args.report and Path(args.report).resolve() in (
+        trace_path.resolve(), trace_path.with_suffix(".json").resolve()
+    ):
+        return _Parser._fail(f"--report {args.report} would overwrite the trace or its sidecar")
+    trace = read_trace(trace_path)
     models = ga_config = None
     if args.method == "mfr":
         models = {s: load_fields(mfr_mod.MfrModel, f"{args.model}_{s}.json") for s in ("on", "off")}
@@ -197,6 +202,8 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in bench_mod.METHODS:
             return _Parser._fail(f"unknown method {m!r}")
+    if len(set(methods)) < len(methods):
+        return _Parser._fail(f"--methods {args.methods!r} names a method twice")
     # the output directory is made only for a run that will start
     out_dir = Path(args.out)
     try:

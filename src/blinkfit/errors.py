@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit."""
 
 
-class BlinkfitError(Exception):
-    """Base class for all blinkfit-specific errors."""
+class BlinkfitError(ValueError):
+    """Base class for all blinkfit-specific errors; a ValueError, as every library refusal is."""
 
 
 class NoSeparationError(BlinkfitError):

@@ -335,8 +335,8 @@ def extract_tau(rows, bin_width: float) -> float:
     absolute value keeps tau positive on decaying histograms where the
     longest point carries the lowest count.  Plain Python arithmetic, so a
     cluster of lists costs no numpy call; the running totals add in row
-    order, as a cumsum does.  Raises ValueError or DegenerateClusterError
-    when the rows cannot give a lifetime.
+    order, as a cumsum does.  Raises ValueError, DegenerateClusterError
+    among them, when the rows cannot give a lifetime.
     """
     try:
         rows = [(d, c) for d, c in rows]
@@ -385,7 +385,7 @@ def _candidate_tau(points: np.ndarray, clustering: Clustering, bin_width: float)
     for j, rows in enumerate(members):
         try:
             taus[j] = extract_tau(rows, bin_width)
-        except (DegenerateClusterError, ValueError):
+        except ValueError:
             continue
     if len(taus) < 2:
         return next(iter(taus.values()), None)

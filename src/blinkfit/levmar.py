@@ -3,7 +3,9 @@
 lm_solve is a small generic engine with a fixed damping schedule and
 stopping rule (the module constants below); fit_exponential applies it to
 the three-parameter exponential model y0 + A*exp(-t/tau) used as the
-traditional baseline for dwell-density fitting.
+traditional baseline for dwell-density fitting, and also owns that
+baseline's failure rule (LM_TAU_SANITY_FACTOR), so every caller gets one
+verdict.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ LAMBDA_DOWN = 0.1
 MAX_ITER = 200
 FTOL = 1e-10
 XTOL = 1e-10
+# Fitted lifetimes beyond this multiple of the moment seed count as failures.
+LM_TAU_SANITY_FACTOR = 100.0
 
 
 def lm_solve(residual_fn, jacobian_fn, x0):
@@ -116,8 +120,10 @@ def fit_exponential(density: EmpiricalDensity) -> RateEstimate:
     The start point is y0 = min density, A = max - min and tau = the
     density-weighted mean dwell.  The returned estimate carries the
     standard error from the scaled inverse approximate Hessian and the
-    optimizer diagnostics; converged is False when the iteration budget was
-    exhausted.
+    optimizer diagnostics.  converged is False when the iteration budget was
+    exhausted, or when tau falls outside (0, LM_TAU_SANITY_FACTOR x the
+    start tau): such a fit also records diagnostics["sanity_rejected"] =
+    True and keeps the optimizer's own "converged" and "reason".
     """
     t = density.durations
     d = np.asarray(density.densities, dtype=float)
@@ -137,13 +143,13 @@ def fit_exponential(density: EmpiricalDensity) -> RateEstimate:
 
     x0 = [float(d.min()), float(d.max() - d.min()), tau0]
     params, cov, diag = lm_solve(residual, jacobian, x0)
+    tau_hat = float(params[2])
     tau_err = float(np.sqrt(max(cov[2, 2], 0.0)))
-    diag = dict(diag)
     diag.update({"y0": float(params[0]), "A": float(params[1]), "tau_init": tau0})
+    converged = bool(diag["converged"])
+    if not (0.0 < tau_hat < LM_TAU_SANITY_FACTOR * tau0):
+        converged = False
+        diag["sanity_rejected"] = True
     return RateEstimate(
-        tau_hat=float(params[2]),
-        std_err=tau_err,
-        method="lm",
-        converged=bool(diag["converged"]),
-        diagnostics=diag,
+        tau_hat=tau_hat, std_err=tau_err, method="lm", converged=converged, diagnostics=diag
     )

@@ -3,11 +3,12 @@
 A perf change is accepted or refused on these verdicts, so their edges
 are pinned here: the direction a metric's `better` sets, the 9-of-10
 pair count, a median gap against the parent's interquartile range, and
-the bound itself.  The traced per-layer runs are checked with perfbench
-stubbed out.
+the bound itself.  The traced per-layer runs, and the verdict line that
+main prints last, are checked with perfbench stubbed out.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -137,3 +138,47 @@ class TestPerLayer:
         assert seen["cmd"][-2:] == ["--trace", str(trace)]
         assert run == {"seed": 7, "exit": 0, "correct": True, "attempted": 3, "failed": 0,
                        "metrics": {"x": 2.0}, "results_hash": "results.csv sha256=abc"}
+
+
+class TestVerdictLine:
+    def test_main_prints_the_verdict_last(self, tool, monkeypatch, tmp_path, capsys):
+        # the change is slow on long-lm, fast to set up trace-files and
+        # wrong once on sweep-2s; every other metric equals the parent's
+        parent_dir = tmp_path / "parent"
+
+        def fake_run_once(checkout, workload, seed, seconds, trace=0):
+            metrics = {"setup_s": 1.0, "op_p90_s": 1.0, "peak_rss_mb": 50.0}
+            correct = True
+            if checkout != parent_dir:
+                if workload == "long-lm":
+                    metrics["op_p90_s"] = 2.0
+                elif workload == "trace-files":
+                    metrics["setup_s"] = 0.5
+                elif seed == 101:
+                    correct = False
+            return {"seed": seed, "exit": 0, "correct": correct, "attempted": 4, "failed": 0,
+                    "metrics": metrics, "results_hash": f"results.csv sha256={seed}"}
+
+        class Git:
+            stdout = "abc123\n"
+
+        monkeypatch.setattr(tool, "run_once", fake_run_once)
+        monkeypatch.setattr(tool, "export", lambda rev, into: parent_dir)
+        monkeypatch.setattr(tool.subprocess, "run", lambda *a, **k: Git())
+        out = tmp_path / "bench.json"
+        assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == ("verdict: out of bound: long-lm op_p90_s; gain: trace-files setup_s; "
+                        "not all correct: sweep-2s; results_hashes_equal: true")
+        assert tool.verdict_line(json.loads(out.read_text())) == last
+
+    def test_clean_run_and_a_run_without_metrics(self, tool):
+        fine = {"within_bound": True, "gain": False}
+        report = {
+            "workloads": {"sweep-2s": {"all_correct": True, "verdict": {"op_p90_s": fine}},
+                          "long-lm": {"runs": {}}},
+            "results_hashes_equal": False,
+        }
+        assert tool.verdict_line(report) == (
+            "verdict: out of bound: none; gain: none; not all correct: long-lm; "
+            "results_hashes_equal: false")

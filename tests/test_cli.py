@@ -191,6 +191,22 @@ class TestAnalyze:
             assert_error(capsys, missing)
             assert not report.exists()
 
+    @pytest.mark.parametrize("target", ["trace", "sidecar"])
+    def test_report_onto_trace_files_refused(self, tmp_path, capsys, target):
+        # the report would replace the trace or its sidecar, which then no longer loads
+        trace = tmp_path / "t.csv"
+        assert run(["simulate", "--duration", "1s", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        files = {"trace": trace, "sidecar": trace.with_suffix(".json")}
+        before = {name: path.read_bytes() for name, path in files.items()}
+        # a spelling of the same file that differs from --trace's
+        report = tmp_path / "sub" / ".." / files[target].name
+        (tmp_path / "sub").mkdir()
+        args = ["analyze", "--trace", str(trace), "--method", "lm", "--report", str(report)]
+        assert run(args) == 1
+        assert "tau_" not in assert_error(capsys, "--report", "sidecar")
+        assert {name: path.read_bytes() for name, path in files.items()} == before
+
     def test_bad_sidecar_reports_file(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         trace.write_text("t_s,counts\n0.0,5\n0.001,7\n")
@@ -233,7 +249,9 @@ class TestSharedPipeline:
         # the off-state fit diverges (tau far beyond 100x the mean dwell)
         from blinkfit.bench import analyze_trace
         from blinkfit.cli import DEFAULT_SEED
+        from blinkfit.dwell import auto_threshold, binarize, dwell_histogram, empirical_density
         from blinkfit.emitter import read_trace
+        from blinkfit.levmar import fit_exponential
 
         report = tmp_path / "r.json"
         code = run(["analyze", "--trace", str(trace_2s), "--method", "lm", "--report", str(report)])
@@ -241,9 +259,17 @@ class TestSharedPipeline:
         payload = json.loads(report.read_text())
         assert payload["off_converged"] is False
         assert payload["on_converged"] is True
-        _, estimates = analyze_trace(read_trace(trace_2s), "lm", DEFAULT_SEED)
+        trace = read_trace(trace_2s)
+        _, estimates = analyze_trace(trace, "lm", DEFAULT_SEED)
         assert estimates["off"].diagnostics["sanity_rejected"] is True
         assert "sanity_rejected" not in estimates["on"].diagnostics
+        # a bare fit on the same histograms gives the same verdicts
+        hists = dwell_histogram(binarize(trace, auto_threshold(trace)))
+        for hist in hists:
+            fit = fit_exponential(empirical_density(hist))
+            est = estimates[hist.state]
+            assert fit.converged == est.converged
+            assert fit.diagnostics.get("sanity_rejected") == est.diagnostics.get("sanity_rejected")
 
     @pytest.mark.parametrize("method", ["lm", "ga"])
     def test_report_matches_bench_function(self, trace_2s, tmp_path, method):
@@ -464,6 +490,16 @@ class TestBench:
         assert run(["bench", "--methods", ",", "--out", str(out)]) == 1
         assert "names no method" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+        assert not out.exists()
+
+    def test_repeated_method_refused(self, tmp_path, capsys):
+        # a repeated name would write that method's rows twice and run each trial twice
+        out = tmp_path / "o"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"durations": [0.2], "trials_per_cell": 2}))
+        args = ["bench", "--scenario", str(scenario), "--methods", "lm, ga,lm", "--out", str(out)]
+        assert run(args) == 1
+        assert_error(capsys, "'lm, ga,lm'", "twice")
         assert not out.exists()
 
     def test_scenario_presets_load(self):

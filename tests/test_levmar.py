@@ -11,7 +11,7 @@ from blinkfit.dwell import (
 )
 from blinkfit.emitter import EmitterModel, generate_trace
 from blinkfit.errors import InsufficientDataError
-from blinkfit.levmar import fit_exponential, lm_solve
+from blinkfit.levmar import LM_TAU_SANITY_FACTOR, fit_exponential, lm_solve
 
 
 def exp_density(y0, amp, tau, t_ms):
@@ -123,6 +123,21 @@ class TestFitExponential:
         assert est.converged
         assert est.tau_hat == pytest.approx(20e-3, rel=1e-5)
         assert est.diagnostics["iterations"] == 6
+
+    @pytest.mark.parametrize("curvature, rejected", [(1e-5, False), (1e-6, True)])
+    def test_sanity_rule(self, curvature, rejected):
+        # 1 - t/100 + c t^2 (t in bins) is fitted best by tau = 1 / (200 c)
+        # bins: 0.5 s for c = 1e-5, about 48 x the 10 ms start tau, and 5 s
+        # for c = 1e-6, about 490 x; the optimizer stops on xtol either way
+        t = np.arange(1, 21)
+        density = EmpiricalDensity("off", 1e-3, t, 1.0 - t / 100.0 + curvature * t**2)
+        est = fit_exponential(density)
+        diag = est.diagnostics
+        assert est.tau_hat == pytest.approx(1e-3 / (200 * curvature), rel=0.03)
+        assert (est.tau_hat >= LM_TAU_SANITY_FACTOR * diag["tau_init"]) is rejected
+        assert diag["converged"] and diag["reason"] == "xtol"
+        assert est.converged is not rejected
+        assert diag.get("sanity_rejected", False) is rejected
 
     def test_short_trace_failure_mode(self):
         # 2 s traces: the fit mostly fails the benchmark predicate or is

@@ -27,6 +27,10 @@ printed.  Per workload and metric it also judges the untraced runs:
   most the metric's `bound` from BENCHMARK.json, as a fraction of the
   parent's median.
 
+The last line printed is the verdict: every (workload, metric) out of
+its bound or with a gain, every workload whose runs were not all correct
+or gave no metrics, and whether the hashes are equal.
+
 It needs only the standard library and git; perfbench itself needs what
 the program needs.
 """
@@ -137,6 +141,23 @@ def per_layer(checkouts: dict, workloads: list, seed: int) -> dict:
     return out
 
 
+def verdict_line(report: dict) -> str:
+    """The report's verdicts on one line, naming only what needs a look."""
+    over, gain, broken = [], [], []
+    for workload, entry in report["workloads"].items():
+        if not entry.get("all_correct"):
+            broken.append(workload)
+        for metric, v in entry.get("verdict", {}).items():
+            if not v["within_bound"]:
+                over.append(f"{workload} {metric}")
+            if v["gain"]:
+                gain.append(f"{workload} {metric}")
+    return (f"verdict: out of bound: {', '.join(over) or 'none'}; "
+            f"gain: {', '.join(gain) or 'none'}; "
+            f"not all correct: {', '.join(broken) or 'none'}; "
+            f"results_hashes_equal: {str(report['results_hashes_equal']).lower()}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -172,6 +193,7 @@ def main(argv=None) -> int:
     report["results_hashes"] = hashes
     report["results_hashes_equal"] = hashes["parent"] == hashes["change"]
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    print(verdict_line(report))
     return 0
 
 
