@@ -191,6 +191,18 @@ class TestAnalyze:
             assert_error(capsys, missing)
             assert not report.exists()
 
+    def test_undecodable_trace_refused(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_bytes(b"t_s,counts\n0.0,12\n0.001,3\xff\n")
+        trace.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        report = tmp_path / "r.json"
+        args = ["analyze", "--trace", str(trace), "--method", "lm", "--report", str(report)]
+        assert run(args) == 1
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 25: invalid start byte\n"
+        )
+        assert not report.exists()
+
     @pytest.mark.parametrize("target", ["trace", "sidecar"])
     def test_report_onto_trace_files_refused(self, tmp_path, capsys, target):
         # the report would replace the trace or its sidecar, which then no longer loads

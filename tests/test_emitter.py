@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from blinkfit.emitter import (
     DEFAULT_MEAN_ON_COUNTS,
     BlinkTrace,
     EmitterModel,
+    _bulk_counts,
     _draw_dwells,
+    _read_sidecar,
+    _scan_rows,
     generate_trace,
     read_trace,
     write_trace,
@@ -470,3 +474,172 @@ class TestTraceIO:
         with pytest.raises(ValueError, match=re.escape(f"{path} ends in .json")):
             write_trace(BlinkTrace(1e-3, [12.0, 3.0]), path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "raw, outcome",
+        [
+            (b"t_s,counts\r0.0,12\r0.001,3\r", [12.0, 3.0]),
+            (
+                b"t_s,counts\n0.0,12\n0.001,3\xff\n",
+                (UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in position 25: "
+                 "invalid start byte"),
+            ),
+            (
+                "\ufefft_s,counts\n0.0,12\n".encode(),
+                (ValueError, "unexpected trace header '\\ufefft_s,counts' in {path}"),
+            ),
+            (
+                "t_s,counts\n0.0,1\u20282\n0.001,3\n".encode(),
+                (ValueError, "malformed trace row at line 2 of {path}"),
+            ),
+            ("t_s,counts\n0.0,12\n0.001,3\n\xa0\n".encode(), [12.0, 3.0]),
+        ],
+        ids=["lone-cr", "undecodable-byte", "bom", "line-separator-in-row", "nbsp-line"],
+    )
+    def test_text_edge_cases(self, tmp_path, raw, outcome):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(raw)
+        path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        if isinstance(outcome, list):
+            trace = read_trace(path)
+            np.testing.assert_array_equal(trace.counts, outcome)
+            assert trace.counts.dtype == np.float64
+            return
+        kind, message = outcome
+        with pytest.raises(kind) as info:
+            read_trace(path)
+        assert type(info.value) is kind
+        assert str(info.value) == message.format(path=path)
+
+    def test_last_of_200000_rows_reports_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        rows = "".join(f"{i * 1e-3!r},1\n" for i in range(199999))
+        path.write_text("t_s,counts\n" + rows + "200.0,1\n")
+        path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        with pytest.raises(ValueError) as info:
+            read_trace(path)
+        assert str(info.value) == (
+            f"t_s 200.0 at line 200001 of {path} is not row 199999 x bin_width_s "
+            f"= {199999 * 1e-3!r}: the trace has gaps or the sidecar does not match"
+        )
+
+
+# --- reference: read_trace as it read the file through a text stream --------
+#
+# Kept verbatim from before read_trace read the file's bytes once, counted
+# the commas on the bytes and numbered lines only for an error message.
+# The fuzz below requires both to give the same counts or the same error.
+
+
+def ref_edge_rows(body: str) -> list[tuple[int, str]]:
+    first = len(body) - len(body.lstrip())
+    last = body.rfind("\n", 0, len(body.rstrip())) + 1
+    rows = []
+    for start in (first, last):
+        end = body.find("\n", start)
+        line = body[start : end if end >= 0 else None]
+        rows.append((2 + body.count("\n", 0, start), line.strip().split(",")[0]))
+    return rows
+
+
+def ref_read_trace(path) -> BlinkTrace:
+    path = Path(path)
+    with path.open() as fh:
+        header = fh.readline().strip()
+        if header != "t_s,counts":
+            raise ValueError(f"unexpected trace header {header!r} in {path}")
+        body = fh.read()
+    counts = _bulk_counts(path, body.count(","))
+    if counts is None or not np.isfinite(counts).all():
+        counts = _scan_rows(path)
+    meta = _read_sidecar(path.with_suffix(".json"))
+    truth = None
+    if meta.get("tau_on_s") is not None and meta.get("tau_off_s") is not None:
+        truth = (meta["tau_on_s"], meta["tau_off_s"])
+    trace = BlinkTrace(
+        bin_width=meta["bin_width_s"],
+        counts=np.asarray(counts),
+        mean_on_counts=meta.get("mean_on_counts", DEFAULT_MEAN_ON_COUNTS),
+        mean_off_counts=meta.get("mean_off_counts", DEFAULT_MEAN_OFF_COUNTS),
+        truth=truth,
+        seed=meta.get("seed"),
+    )
+    for index, (lineno, text) in zip((0, len(trace) - 1), ref_edge_rows(body)):
+        try:
+            t = float(text)
+        except ValueError as exc:
+            raise ValueError(f"malformed trace row at line {lineno} of {path}") from exc
+        expected = index * trace.bin_width
+        if not abs(t - expected) <= 1e-6 * trace.bin_width:
+            raise ValueError(
+                f"t_s {text} at line {lineno} of {path} is not row {index} x bin_width_s "
+                f"= {expected!r}: the trace has gaps or the sidecar does not match"
+            )
+    return trace
+
+
+FUZZ_HEADERS = ["t_s,counts"] * 30 + [
+    " t_s,counts\t", "t_s,counts\xa0", "\ufefft_s,counts", "t_s;counts", "t_s,counts,", "",
+]
+FUZZ_COUNTS = ["12", "3", "0", "41"] * 6 + [
+    "-0", "7.5", "1e3", " 4 ", "\t5", "1_000", "+2.", "nan", "inf", "-inf", "", "x", "3#4",
+    "1\u20282", "2\xa0", "6\u3000",
+]
+FUZZ_MALFORMED = ["7", "0.0,1,2", "#0.0,1", "0.0,1 # c", ",", "0.0;1", ",,", "a,b"]
+# str.isspace() is true for each; only "\n" (after "\r\n" and "\r") ends a line
+FUZZ_SPACE = [" ", "\t", "\xa0", "\u2028", "\u3000", "\x0c", "\x0b", "\x1c", "\x85"]
+FUZZ_ENDS = ["\n", "\r\n", "\r"]
+FUZZ_BAD_BYTES = [b"\xff", b"\x80", b"\xe2\x28"]  # each undecodable where it stands
+
+
+def fuzz_trace_file(rng) -> bytes:
+    """The bytes of one small trace file, mostly well formed."""
+    pick = lambda options: options[rng.integers(len(options))]  # noqa: E731
+    pad = lambda: pick(FUZZ_SPACE) if rng.random() < 0.1 else ""  # noqa: E731
+    lines, row = [pick(FUZZ_HEADERS)], 0
+    for _ in range(rng.integers(0, 10)):
+        kind = rng.random()
+        if kind < 0.15:
+            lines.append("".join(pick(FUZZ_SPACE) for _ in range(rng.integers(0, 3))))
+        elif kind < 0.19:
+            lines.append(pick(FUZZ_MALFORMED))
+        else:
+            t = repr((row + (rng.random() < 0.05)) * 1e-3)
+            lines.append(f"{pad()}{t}{pad()},{pick(FUZZ_COUNTS)}{pad()}")
+            row += 1
+    ends = [pick(FUZZ_ENDS)] * len(lines) if rng.random() < 0.8 else [
+        pick(FUZZ_ENDS) for _ in lines
+    ]
+    if rng.random() < 0.3:
+        ends[-1] = ""
+    data = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if rng.random() < 0.08:
+        at = rng.integers(len(data) + 1)
+        data = data[:at] + pick(FUZZ_BAD_BYTES) + data[at:]
+    return data
+
+
+def read_outcome(read, path):
+    """The counts' bytes and dtype, or the type and message of the error."""
+    try:
+        trace = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return trace.counts.tobytes(), trace.counts.dtype
+
+
+class TestReadTraceOracle:
+    @pytest.mark.parametrize("block", range(4))
+    def test_fuzz_matches_reference(self, tmp_path, block):
+        path = tmp_path / "fuzz.csv"
+        sidecar = path.with_suffix(".json")
+        rng = np.random.default_rng([20, block])
+        for case in range(750):
+            data = fuzz_trace_file(rng)
+            path.write_bytes(data)
+            sidecar.unlink(missing_ok=True)
+            if rng.random() < 0.97:
+                width = 2e-3 if rng.random() < 0.1 else 1e-3
+                sidecar.write_text(json.dumps({"bin_width_s": width}))
+            expected = read_outcome(ref_read_trace, path)
+            assert read_outcome(read_trace, path) == expected, (block, case, data)

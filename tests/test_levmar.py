@@ -153,7 +153,7 @@ class TestFitExponential:
                 rel_err = abs(est.tau_hat - 45e-3) / 45e-3
                 if not est.converged or rel_err > 0.5:
                     bad += 1
-            except Exception:
+            except ValueError:
                 bad += 1
         assert bad >= n // 2
 

@@ -227,7 +227,7 @@ class TestCorpus:
                     _, h_off = dwell_histogram(binarize(trace, auto_threshold(trace)))
                     est = estimate(mdl, h_off, duration)
                     errs.append(abs(est.tau_hat - 45e-3) / 45e-3)
-                except Exception:
+                except ValueError:
                     errs.append(np.inf)
             med_errs.append(np.median(errs))
         assert med_errs[0] <= med_errs[1] * 1.05  # 2 s no worse than 0.2 s
