@@ -17,6 +17,8 @@ Generator is left in the same state.
 from __future__ import annotations
 
 import json
+import locale
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,6 +229,7 @@ def generate_trace(
 # than the str.join of per-row f-strings used here.
 _CHUNK_ROWS = 2048
 _EXACT_INT = 2.0**53  # below this, float64 -> int64 is exact
+_LEADING_SPACE = re.compile(r"\s*")  # \s is what str.strip() strips
 
 
 def _count_cells(part: np.ndarray) -> list:
@@ -307,10 +310,11 @@ def _read_sidecar(sidecar: Path) -> dict:
 def _bulk_counts(path: Path, rows: int) -> np.ndarray | None:
     """The counts column below the header in one np.loadtxt call, or None if refused.
 
-    rows is the number of commas in the data.  loadtxt ignores fields
-    after the one it reads, so a count of one comma per row stands in for
-    the field check.  Data with no comma holds no valid row; it is left to
-    _scan_rows, where loadtxt would only warn of empty input.
+    rows is the number of commas in the data, counted on the file's bytes.
+    loadtxt ignores fields after the one it reads, so a count of one comma
+    per row stands in for the field check.  Data with no comma holds no
+    valid row; it is left to _scan_rows, where loadtxt would only warn of
+    empty input.
     """
     if rows == 0:
         return None
@@ -346,19 +350,41 @@ def _scan_rows(path: Path) -> list[float]:
     return counts
 
 
-def _edge_rows(body: str) -> list[tuple[int, str]]:
-    """Line number and t_s text of the first and the last data row.
+def _read_text(data: bytes) -> str:
+    """The text open() reads from a file of these bytes.
 
-    body is the file after its header line; blank lines are skipped, as
-    _scan_rows skips them.
+    It is decoded with open()'s default encoding, so bytes that encoding
+    cannot decode raise UnicodeDecodeError, and CRLF and a lone CR become
+    LF, as universal newlines reads them.
     """
-    first = len(body) - len(body.lstrip())
-    last = body.rfind("\n", 0, len(body.rstrip())) + 1
+    text = data.decode(locale.getpreferredencoding(False))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _line_number(path: Path, offset: int) -> int:
+    """The line of path's text that holds offset, counted from 1.
+
+    Only an error message needs it, so the file is read again.
+    """
+    return 1 + _read_text(path.read_bytes()).count("\n", 0, offset)
+
+
+def _edge_rows(text: str, start: int) -> list[tuple[int, str]]:
+    """Offset in text and t_s text of the first and the last data row.
+
+    The data begins at offset start, past the header line.  Blank lines
+    are skipped, as _scan_rows skips them.  _line_number turns an offset
+    into the line an error message names.
+    """
+    first = _LEADING_SPACE.match(text, start).end()
+    last = max(text.rfind("\n", start, len(text.rstrip())) + 1, start)
     rows = []
-    for start in (first, last):
-        end = body.find("\n", start)
-        line = body[start : end if end >= 0 else None]
-        rows.append((2 + body.count("\n", 0, start), line.strip().split(",")[0]))
+    for offset in (first, last):
+        end = text.find("\n", offset)
+        line = text[offset : end if end >= 0 else None]
+        rows.append((offset, line.strip().split(",")[0]))
     return rows
 
 
@@ -370,7 +396,10 @@ def read_trace(path) -> BlinkTrace:
     are rejected.  Only those two t_s values are parsed.  Errors name the
     line of the file, or the sidecar (see _read_sidecar).
 
-    The counts are parsed in one np.loadtxt call.  Only a file that call or
+    The file's bytes are read once and decoded as open() decodes them
+    (_read_text), for the header and the first and last rows; the data's
+    commas are counted on the bytes.  Both buffers are dropped before the
+    counts are parsed in one np.loadtxt call.  Only a file that call or
     its field check refuses, or that holds a non-finite count, is scanned
     row by row (_scan_rows): the scan names the line at fault, or reads the
     rows as float() does where loadtxt is stricter (whitespace-only lines,
@@ -378,12 +407,17 @@ def read_trace(path) -> BlinkTrace:
     sidecar is read.
     """
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != "t_s,counts":
-            raise ValueError(f"unexpected trace header {header!r} in {path}")
-        body = fh.read()
-    counts = _bulk_counts(path, body.count(","))
+    data = path.read_bytes()
+    text = _read_text(data)
+    start = text.find("\n") + 1 or len(text)
+    header = text[:start].strip()
+    if header != "t_s,counts":
+        raise ValueError(f"unexpected trace header {header!r} in {path}")
+    # the header's one comma; a comma byte is a comma in any ASCII-based encoding
+    rows = np.count_nonzero(np.frombuffer(data, np.uint8) == ord(",")) - 1
+    edges = _edge_rows(text, start)
+    del data, text
+    counts = _bulk_counts(path, rows)
     if counts is None or not np.isfinite(counts).all():
         counts = _scan_rows(path)
     meta = _read_sidecar(path.with_suffix(".json"))
@@ -398,16 +432,18 @@ def read_trace(path) -> BlinkTrace:
         truth=truth,
         seed=meta.get("seed"),
     )
-    # BlinkTrace refuses an empty trace, so body holds a first and a last row
-    for index, (lineno, text) in zip((0, len(trace) - 1), _edge_rows(body)):
+    # BlinkTrace refuses an empty trace, so the data holds a first and a last row
+    for index, (offset, cell) in zip((0, len(trace) - 1), edges):
         try:
-            t = float(text)
+            t = float(cell)
         except ValueError as exc:
+            lineno = _line_number(path, offset)
             raise ValueError(f"malformed trace row at line {lineno} of {path}") from exc
         expected = index * trace.bin_width
         if not abs(t - expected) <= 1e-6 * trace.bin_width:
             raise ValueError(
-                f"t_s {text} at line {lineno} of {path} is not row {index} x bin_width_s "
-                f"= {expected!r}: the trace has gaps or the sidecar does not match"
+                f"t_s {cell} at line {_line_number(path, offset)} of {path} is not row "
+                f"{index} x bin_width_s = {expected!r}: the trace has gaps or the sidecar "
+                "does not match"
             )
     return trace

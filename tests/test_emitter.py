@@ -511,6 +511,25 @@ class TestTraceIO:
         assert type(info.value) is kind
         assert str(info.value) == message.format(path=path)
 
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (b"\xff\n", "can't decode byte 0xff in position 24018: invalid start byte"),
+            (b"\xe2", "can't decode byte 0xe2 in position 24018: unexpected end of data"),
+        ],
+        ids=["past-first-8-KiB", "cut-at-end"],
+    )
+    def test_undecodable_byte_position_is_the_files(self, tmp_path, tail, message):
+        # the position counts from the start of the file; the text stream
+        # read_trace once used counted from the end of its first 8192-byte
+        # chunk, and reported 15826 for both
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t_s,counts\n0.0,12\n" + b"0.001,3\n" * 3000 + tail)
+        path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        with pytest.raises(UnicodeDecodeError) as info:
+            read_trace(path)
+        assert str(info.value) == "'utf-8' codec " + message
+
     def test_last_of_200000_rows_reports_line(self, tmp_path):
         path = tmp_path / "long.csv"
         rows = "".join(f"{i * 1e-3!r},1\n" for i in range(199999))
