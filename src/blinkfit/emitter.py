@@ -409,7 +409,7 @@ def read_trace(path) -> BlinkTrace:
     path = Path(path)
     data = path.read_bytes()
     text = _read_text(data)
-    start = text.find("\n") + 1 or len(text)
+    start = text.find("\n") + 1 or len(text)  # past the header line, or a one-line file's end
     header = text[:start].strip()
     if header != "t_s,counts":
         raise ValueError(f"unexpected trace header {header!r} in {path}")
