@@ -397,7 +397,9 @@ def read_trace(path) -> BlinkTrace:
     line of the file, or the sidecar (see _read_sidecar).
 
     The file's bytes are read once and decoded as open() decodes them
-    (_read_text), for the header and the first and last rows; the data's
+    (_read_text), for the header and the first and last rows.  Bytes that
+    encoding cannot decode raise ValueError naming the line, counted as
+    universal newlines count it, and keeping the codec's message; the data's
     commas are counted on the bytes.  Both buffers are dropped before the
     counts are parsed in one np.loadtxt call.  Only a file that call or
     its field check refuses, or that holds a non-finite count, is scanned
@@ -408,7 +410,13 @@ def read_trace(path) -> BlinkTrace:
     """
     path = Path(path)
     data = path.read_bytes()
-    text = _read_text(data)
+    try:
+        text = _read_text(data)
+    except UnicodeDecodeError as exc:
+        # CR, LF and CRLF bytes end lines in any ASCII-based encoding
+        head = data[: exc.start].replace(b"\r\n", b"\n")
+        lineno = 1 + head.count(b"\n") + head.count(b"\r")
+        raise ValueError(f"cannot decode line {lineno} of {path}: {exc}") from exc
     start = text.find("\n") + 1 or len(text)  # past the header line, or a one-line file's end
     header = text[:start].strip()
     if header != "t_s,counts":

@@ -62,7 +62,12 @@ class GaConfig:
 
 @dataclass(eq=False)
 class Clustering:
-    """K-means output: centroids, assignment and the final potential."""
+    """K-means output: centroids, assignment and the final potential.
+
+    It also carries the clustered points and their pairwise squared-distance
+    table, which silhouette reads and run_ga hands on to a clone that
+    mutation left unchanged.
+    """
 
     k: int
     centroids: np.ndarray
@@ -70,8 +75,8 @@ class Clustering:
     potential: float
     phi_history: list[float] = field(default_factory=list)
     points: np.ndarray | None = None
-    # squared distance between every two points; silhouette computes it
-    # when absent
+    # squared distance between every two points, computed by kmeans_cluster
+    # or handed to it (its sq_dists); silhouette computes it when absent
     sq_dists: np.ndarray | None = None
 
 
@@ -114,9 +119,37 @@ def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def _sq_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance from every row of a to every row of b, shape (len(a), len(b)).
+
+    Built one coordinate at a time, without an (m, n, d) temporary: each
+    coordinate's squared differences are added in coordinate order, the
+    order ((a - b) ** 2).sum(axis=2) adds them in for fewer than 8
+    coordinates, so the bits are the same.  On the GA's two coordinates
+    either form is a single add.
+    """
+    table = a[:, 0, None] - b[None, :, 0]
+    table *= table
+    for c in range(1, a.shape[1]):
+        diff = a[:, c, None] - b[None, :, c]
+        diff *= diff
+        table += diff
+    return table
+
+
+def _row_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance between each row of a and the same row of b, as _sq_table adds it."""
+    diff = a - b
+    diff *= diff
+    sq = diff[:, 0]
+    for c in range(1, diff.shape[1]):
+        sq = sq + diff[:, c]
+    return sq
+
+
 def _pairwise_sq(pts: np.ndarray) -> np.ndarray:
     """Squared distance between every two rows of pts."""
-    return ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    return _sq_table(pts, pts)
 
 
 def _seed_indices(sq_dists: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
@@ -142,7 +175,7 @@ def _seed_indices(sq_dists: np.ndarray, k: int, rng: np.random.Generator) -> lis
 
 
 def _assign(pts, centroids):
-    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_table(pts, centroids)
     return d2.argmin(axis=1), d2.min(axis=1).sum()
 
 
@@ -152,7 +185,7 @@ def _seize_empty(pts, centroids, labels) -> None:
     Each empty cluster seizes a distinct point; centroids and labels are
     updated in place.
     """
-    dist_own = ((pts - centroids[labels]) ** 2).sum(axis=1)
+    dist_own = _row_sq(pts, centroids[labels])
     for j in range(centroids.shape[0]):
         if not (labels == j).any():
             farthest = int(dist_own.argmax())
@@ -161,10 +194,14 @@ def _seize_empty(pts, centroids, labels) -> None:
             dist_own[farthest] = -1.0
 
 
-def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator) -> Clustering:
+def kmeans_cluster(
+    points: np.ndarray, k: int, rng: np.random.Generator, sq_dists: np.ndarray | None = None
+) -> Clustering:
     """Lloyd iterations from a K-means++ seed, minimizing the potential.
 
-    The pairwise squared-distance table is computed once: its rows weight
+    The pairwise squared-distance table is computed once, or taken from
+    sq_dists, which must be _pairwise_sq of these points (run_ga passes
+    the table of a clone that mutation left unchanged): its rows weight
     the K-means++ draws, its seed columns give the first assignment, and
     the Clustering carries it for silhouette.  Each update takes every
     centroid at once from per-cluster sums and member counts.  np.bincount
@@ -190,7 +227,8 @@ def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator) -> Clus
     if m < k or k < 1:
         raise ValueError(f"need at least {k} points for {k} clusters, got {m}")
 
-    sq_dists = _pairwise_sq(pts)
+    if sq_dists is None:
+        sq_dists = _pairwise_sq(pts)
     seeds = _seed_indices(sq_dists, k, rng)
     centroids = pts[seeds]
     # squared distances from every point to each seed
@@ -219,7 +257,7 @@ def kmeans_cluster(points: np.ndarray, k: int, rng: np.random.Generator) -> Clus
         centroids, labels = new_centroids, new_labels
         history.append(phi_new)
         if unchanged:
-            moved = np.sqrt(((new_centroids - old_centroids) ** 2).sum(axis=1)).max()
+            moved = np.sqrt(_row_sq(new_centroids, old_centroids)).max()
             if moved <= MOVEMENT_TOL:
                 break
             if full and it + 1 < KMEANS_MAX_ITER and np.isfinite(new_centroids).all():
@@ -389,7 +427,7 @@ def _candidate_tau(points: np.ndarray, clustering: Clustering, bin_width: float)
             continue
     if len(taus) < 2:
         return next(iter(taus.values()), None)
-    own = np.sqrt(((clustering.points - clustering.centroids[labels]) ** 2).sum(axis=1))
+    own = np.sqrt(_row_sq(clustering.points, clustering.centroids[labels]))
     # a per-cluster mean, not a bincount: over 8 or more members .mean()
     # sums pairwise, and a last-bit change could reorder near-ties
     return taus[min(taus, key=lambda j: own[labels == j].mean())]
@@ -417,9 +455,10 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     winner above the silhouette threshold contributes the lifetime of its
     tightest cluster that yields one to the estimate log and the population
     is respawned; otherwise two independently mutated clones of the winner
-    form the next generation.  After every K_PATIENCE consecutive
-    sub-threshold generations the cluster count steps through
-    [2, k_hi], k_hi = min(K_MAX, subset size).
+    form the next generation.  A clone that mutation left equal to the
+    winner reuses its rows, normalised rows and distance table.  After
+    every K_PATIENCE consecutive sub-threshold generations the cluster
+    count steps through [2, k_hi], k_hi = min(K_MAX, subset size).
 
     diagnostics["termination"] names how the run ended:
 
@@ -465,11 +504,19 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     tau_final = None
     std_err = float("nan")
 
+    # the last winner's indices, rows, normalised rows and distance table,
+    # reused by a clone that mutation left unchanged
+    last_winner = None
+
     for iteration in range(config.max_iterations):
         scored = []
         for ind in individuals:
-            points = pairs[ind]
-            clustering = kmeans_cluster(_normalize(points), k, generator)
+            if last_winner is not None and (ind == last_winner[0]).all():
+                _, points, normed, table = last_winner
+            else:
+                points = pairs[ind]
+                normed, table = _normalize(points), None
+            clustering = kmeans_cluster(normed, k, generator, sq_dists=table)
             sil = float(silhouette(clustering).mean())
             tau_c = _candidate_tau(points, clustering, hist.bin_width)
             if tau_c is None:
@@ -479,8 +526,8 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
             else:
                 ref = float(np.mean(estimates[-ROLLING_WINDOW :]))
                 score = sil - ELITISM_PENALTY_WEIGHT * abs(tau_c - ref) / ref
-            scored.append((score, sil, tau_c, ind))
-        score, sil, tau_c, winner = max(scored, key=lambda s: s[0])
+            scored.append((score, sil, tau_c, ind, points, clustering))
+        score, sil, tau_c, winner, points, clustering = max(scored, key=lambda s: s[0])
 
         if score > SILHOUETTE_THRESHOLD and tau_c is not None:
             estimates.append(tau_c)
@@ -495,11 +542,13 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
                     termination = "stability"
                     break
             individuals = [spawn_individual(hist, generator) for _ in range(2)]
+            last_winner = None
         else:
             drought += 1
             if drought == patience:
                 termination = "patience"
                 break
+            last_winner = (winner, points, clustering.points, clustering.sq_dists)
             child_a, child_b = crossover_clone_exchange(winner, generator)
             individuals = [
                 mutate(child_a, hist, generator),

@@ -140,6 +140,49 @@ class TestPerLayer:
                        "metrics": {"x": 2.0}, "results_hash": "results.csv sha256=abc"}
 
 
+class TestCountersDiffer:
+    def test_only_named_counters_that_differ(self, tool):
+        same = {"ga.lloyd_iterations": 1698.75, "ga.accepted_per_generation": 0.25,
+                "ga.kmeans_cluster.self_s": 0.030}
+        moved = dict(same, **{"ga.lloyd_iterations": 1698.5, "ga.kmeans_cluster.self_s": 0.020})
+        per_layer = {
+            "sweep-2s": {"parent": {"metrics": same}, "change": {"metrics": moved}},
+            "long-lm": {"parent": {"metrics": same}, "change": {"metrics": dict(same)}},
+            "trace-files": {"parent": {"metrics": same}, "change": {"error": "boom"}},
+        }
+        names = ["ga.lloyd_iterations", "ga.accepted_per_generation"]
+        # a self time is not a counter, so its move is not listed
+        assert tool.counters_differ(per_layer, names) == [
+            "sweep-2s ga.lloyd_iterations", "trace-files (no traced metrics)"]
+
+    def test_main_compares_the_count_and_ratio_metrics(self, tool, monkeypatch, tmp_path,
+                                                       capsys):
+        parent_dir = tmp_path / "parent"
+
+        def fake_run_once(checkout, workload, seed, seconds, trace=0):
+            metrics = {"setup_s": 1.0, "op_p90_s": 1.0, "peak_rss_mb": 50.0}
+            if trace:
+                changed = checkout != parent_dir and workload == "sweep-2s"
+                metrics = {"ga.kmeans_cluster.calls": 187.0 if changed else 186.5,
+                           "ga.accepted_per_generation": 0.25,
+                           "ga.kmeans_cluster.self_s": 0.02 if changed else 0.03}
+            return {"seed": seed, "exit": 0, "correct": True, "attempted": 4, "failed": 0,
+                    "metrics": metrics, "results_hash": f"results.csv sha256={seed}"}
+
+        class Git:
+            stdout = "abc123\n"
+
+        monkeypatch.setattr(tool, "run_once", fake_run_once)
+        monkeypatch.setattr(tool, "export", lambda rev, into: parent_dir)
+        monkeypatch.setattr(tool.subprocess, "run", lambda *a, **k: Git())
+        out = tmp_path / "bench.json"
+        assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.endswith("; counters differ: sweep-2s ga.kmeans_cluster.calls")
+        assert json.loads(out.read_text())["counters_differ"] == [
+            "sweep-2s ga.kmeans_cluster.calls"]
+
+
 class TestVerdictLine:
     def test_main_prints_the_verdict_last(self, tool, monkeypatch, tmp_path, capsys):
         # the change is slow on long-lm, fast to set up trace-files and
@@ -169,7 +212,8 @@ class TestVerdictLine:
         assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == ("verdict: out of bound: long-lm op_p90_s; gain: trace-files setup_s; "
-                        "not all correct: sweep-2s; results_hashes_equal: true")
+                        "not all correct: sweep-2s; results_hashes_equal: true; "
+                        "counters differ: none")
         assert tool.verdict_line(json.loads(out.read_text())) == last
 
     def test_clean_run_and_a_run_without_metrics(self, tool):
@@ -178,7 +222,8 @@ class TestVerdictLine:
             "workloads": {"sweep-2s": {"all_correct": True, "verdict": {"op_p90_s": fine}},
                           "long-lm": {"runs": {}}},
             "results_hashes_equal": False,
+            "counters_differ": [],
         }
         assert tool.verdict_line(report) == (
             "verdict: out of bound: none; gain: none; not all correct: long-lm; "
-            "results_hashes_equal: false")
+            "results_hashes_equal: false; counters differ: none")

@@ -199,7 +199,8 @@ class TestAnalyze:
         args = ["analyze", "--trace", str(trace), "--method", "lm", "--report", str(report)]
         assert run(args) == 1
         assert capsys.readouterr().err == (
-            "error: 'utf-8' codec can't decode byte 0xff in position 25: invalid start byte\n"
+            f"error: cannot decode line 3 of {trace}: 'utf-8' codec can't decode byte 0xff "
+            "in position 25: invalid start byte\n"
         )
         assert not report.exists()
 

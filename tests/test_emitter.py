@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import re
@@ -481,8 +482,13 @@ class TestTraceIO:
             (b"t_s,counts\r0.0,12\r0.001,3\r", [12.0, 3.0]),
             (
                 b"t_s,counts\n0.0,12\n0.001,3\xff\n",
-                (UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in position 25: "
-                 "invalid start byte"),
+                (ValueError, "cannot decode line 3 of {path}: 'utf-8' codec can't decode "
+                 "byte 0xff in position 25: invalid start byte"),
+            ),
+            (
+                b"t_s,counts\r\n0.0,12\r0.001,3\r\xff\n",
+                (ValueError, "cannot decode line 4 of {path}: 'utf-8' codec can't decode "
+                 "byte 0xff in position 27: invalid start byte"),
             ),
             (
                 "\ufefft_s,counts\n0.0,12\n".encode(),
@@ -494,7 +500,7 @@ class TestTraceIO:
             ),
             ("t_s,counts\n0.0,12\n0.001,3\n\xa0\n".encode(), [12.0, 3.0]),
         ],
-        ids=["lone-cr", "undecodable-byte", "bom", "line-separator-in-row", "nbsp-line"],
+        ids=["lone-cr", "undecodable-byte", "undecodable-after-cr-ends", "bom", "line-separator-in-row", "nbsp-line"],
     )
     def test_text_edge_cases(self, tmp_path, raw, outcome):
         path = tmp_path / "edge.csv"
@@ -526,9 +532,10 @@ class TestTraceIO:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"t_s,counts\n0.0,12\n" + b"0.001,3\n" * 3000 + tail)
         path.with_suffix(".json").write_text('{"bin_width_s": 0.001}')
-        with pytest.raises(UnicodeDecodeError) as info:
+        with pytest.raises(ValueError) as info:
             read_trace(path)
-        assert str(info.value) == "'utf-8' codec " + message
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"cannot decode line 3003 of {path}: 'utf-8' codec " + message
 
     def test_last_of_200000_rows_reports_line(self, tmp_path):
         path = tmp_path / "long.csv"
@@ -547,7 +554,8 @@ class TestTraceIO:
 #
 # Kept verbatim from before read_trace read the file's bytes once, counted
 # the commas on the bytes and numbered lines only for an error message.
-# The fuzz below requires both to give the same counts or the same error.
+# The fuzz below requires both to give the same counts or the same error;
+# read_trace words an undecodable file's error as expected_outcome says.
 
 
 def ref_edge_rows(body: str) -> list[tuple[int, str]]:
@@ -647,12 +655,32 @@ def read_outcome(read, path):
     return trace.counts.tobytes(), trace.counts.dtype
 
 
+def undecodable_line(data: bytes) -> int:
+    """The line of data's first undecodable byte, as a universal-newlines stream counts it."""
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        head = io.TextIOWrapper(io.BytesIO(data[: exc.start]), encoding="utf-8", newline=None)
+        return 1 + head.read().count("\n")
+    raise AssertionError("data decodes")
+
+
+def expected_outcome(path, data: bytes):
+    """ref_read_trace's outcome, its UnicodeDecodeError worded as read_trace words it:
+    a ValueError naming the line and the path, ending with the codec's text."""
+    kind, *rest = outcome = read_outcome(ref_read_trace, path)
+    if kind is UnicodeDecodeError:
+        return ValueError, f"cannot decode line {undecodable_line(data)} of {path}: {rest[0]}"
+    return outcome
+
+
 class TestReadTraceOracle:
     @pytest.mark.parametrize("block", range(4))
     def test_fuzz_matches_reference(self, tmp_path, block):
         path = tmp_path / "fuzz.csv"
         sidecar = path.with_suffix(".json")
         rng = np.random.default_rng([20, block])
+        undecodable = 0
         for case in range(750):
             data = fuzz_trace_file(rng)
             path.write_bytes(data)
@@ -660,5 +688,7 @@ class TestReadTraceOracle:
             if rng.random() < 0.97:
                 width = 2e-3 if rng.random() < 0.1 else 1e-3
                 sidecar.write_text(json.dumps({"bin_width_s": width}))
-            expected = read_outcome(ref_read_trace, path)
+            expected = expected_outcome(path, data)
             assert read_outcome(read_trace, path) == expected, (block, case, data)
+            undecodable += "cannot decode" in str(expected[1])
+        assert undecodable > 20

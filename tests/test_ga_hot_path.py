@@ -13,6 +13,12 @@ kmeans_cluster also reads its K-means++ weights and first assignment from
 one pairwise distance table and stops one Lloyd iteration early when that
 iteration could only settle, and mutate draws its flags before building
 its pool; the reference loops, and ref_mutate below, do neither.
+
+Every squared distance is built one coordinate at a time (_sq_table,
+_row_sq) rather than reduced with .sum over an (m, n, d) temporary, and
+run_ga hands the winner's table to a clone that mutation left unchanged;
+ref_table and the reference loops below keep the reduce and recompute
+every table.
 """
 
 import math
@@ -74,7 +80,8 @@ def ref_seize_empty(pts, centroids, labels):
             dist_own[farthest] = -1.0
 
 
-def ref_kmeans_cluster(points, k, rng):
+def ref_kmeans_cluster(points, k, rng, sq_dists=None):
+    # sq_dists is ignored: the reference computes every distance afresh
     pts = np.asarray(points, dtype=float)
     centroids = ref_kmeanspp_init(pts, k, rng)
     labels, phi = ref_assign(pts, centroids)
@@ -154,6 +161,14 @@ def ref_mutate(individual, hist, rng):
             break
         out[slot] = pool.pop(int(rng.integers(len(pool))))
     return np.sort(out)
+
+
+def ref_table(a, b):
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def ref_rows(a, b):
+    return ((a - b) ** 2).sum(axis=1)
 
 
 # --- inputs ------------------------------------------------------------------
@@ -245,6 +260,76 @@ class TestBitIdentity:
                 assert a.std_err == b.std_err or math.isnan(a.std_err) and math.isnan(b.std_err)
             endings = {est.diagnostics["termination"] for est in runs}
             assert ("patience" in endings) == (cfg.max_iterations == 500)
+
+
+def mixed_points(rng, m, d):
+    """Rows whose coordinates span 1e-12 to 1e6, with repeated rows and
+    all-zero columns mixed in."""
+    pts = rng.uniform(-1.0, 1.0, (m, d)) * 10.0 ** rng.uniform(-12.0, 6.0, (m, d))
+    if rng.random() < 0.3:
+        pts = pts[rng.integers(m, size=m)]  # duplicates
+    if rng.random() < 0.3:
+        pts[:, rng.integers(d)] = 0.0
+    return pts
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestDistanceTables:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_match_the_reduce(self, d):
+        rng = np.random.default_rng(40 + d)
+        reordered = 0
+        for _ in range(2000):
+            m, k = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            pts = mixed_points(rng, m, d)
+            others = mixed_points(rng, k, d)
+            if rng.random() < 0.5:
+                others[: min(k, m)] = pts[: min(k, m)]  # zero distances
+            assert same_bits(ga._pairwise_sq(pts), ref_table(pts, pts))
+            assert same_bits(ga._sq_table(pts, others), ref_table(pts, others))
+            rows = others[rng.integers(k, size=m)]
+            assert same_bits(ga._row_sq(pts, rows), ref_rows(pts, rows))
+            if d == 3:
+                # the inputs are ones on which another addition order gives other bits
+                sq = (pts[:, None, :] - others[None, :, :]) ** 2
+                reordered += not same_bits(sq[..., 0] + (sq[..., 1] + sq[..., 2]),
+                                           ref_table(pts, others))
+        assert d != 3 or reordered > 100
+
+
+class TestTableReuse:
+    def test_unchanged_clones_reuse_the_winners_table(self, monkeypatch):
+        model = EmitterModel(tau_on=15e-3, tau_off=45e-3)
+        trace = generate_trace(model, 2.0, 1e-3, "poisson", rng=1000)
+        hists = dwell_histogram(binarize(trace, auto_threshold(trace)))
+        config = GaConfig(tau_range=(1e-3, 100e-3))
+        counts = {"tables": 0, "clusterings": 0, "handed": 0}
+
+        def counting_table(pts):
+            counts["tables"] += 1
+            return pairwise_sq(pts)
+
+        def counting_kmeans(points, k, rng, sq_dists=None):
+            counts["clusterings"] += 1
+            counts["handed"] += sq_dists is not None
+            return kmeans(points, k, rng, sq_dists=sq_dists)
+
+        pairwise_sq, kmeans = ga._pairwise_sq, ga.kmeans_cluster
+        monkeypatch.setattr(ga, "_pairwise_sq", counting_table)
+        monkeypatch.setattr(ga, "kmeans_cluster", counting_kmeans)
+        new = [run_ga(h, config, rng=seed) for seed, h in enumerate(hists)]
+        # silhouette reads the carried table, so every table is a clustering's
+        assert 0 < counts["tables"] < counts["clusterings"]
+        assert counts["tables"] + counts["handed"] == counts["clusterings"]
+        monkeypatch.setattr(ga, "kmeans_cluster", ref_kmeans_cluster)
+        monkeypatch.setattr(ga, "_candidate_tau", ref_candidate_tau)
+        ref = [run_ga(h, config, rng=seed) for seed, h in enumerate(hists)]
+        for a, b in zip(new, ref):
+            assert (a.tau_hat, a.diagnostics) == (b.tau_hat, b.diagnostics)
+            assert a.std_err == b.std_err or math.isnan(a.std_err) and math.isnan(b.std_err)
 
 
 class TestExtractTau:

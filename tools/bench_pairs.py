@@ -27,9 +27,15 @@ printed.  Per workload and metric it also judges the untraced runs:
   most the metric's `bound` from BENCHMARK.json, as a fraction of the
   parent's median.
 
+The traced runs are compared too: every per-layer metric that
+BENCHMARK.json gives a count or ratio unit must read the same on both
+sides of a workload, as it does for a change that leaves the output
+bit-exact.  Those that differ are listed under `counters_differ`.
+
 The last line printed is the verdict: every (workload, metric) out of
 its bound or with a gain, every workload whose runs were not all correct
-or gave no metrics, and whether the hashes are equal.
+or gave no metrics, whether the hashes are equal, and every (workload,
+counter) that differs.
 
 It needs only the standard library and git; perfbench itself needs what
 the program needs.
@@ -141,6 +147,23 @@ def per_layer(checkouts: dict, workloads: list, seed: int) -> dict:
     return out
 
 
+def counters_differ(per_layer: dict, names: list) -> list[str]:
+    """"<workload> <counter>" for each named counter its two traced runs disagree on.
+
+    A workload whose traced run on either side gave no metrics is listed
+    as a whole.
+    """
+    out = []
+    for workload, sides in per_layer.items():
+        parent, change = sides["parent"].get("metrics"), sides["change"].get("metrics")
+        if parent is None or change is None:
+            out.append(f"{workload} (no traced metrics)")
+            continue
+        out.extend(f"{workload} {name}" for name in names
+                   if parent.get(name) != change.get(name))
+    return out
+
+
 def verdict_line(report: dict) -> str:
     """The report's verdicts on one line, naming only what needs a look."""
     over, gain, broken = [], [], []
@@ -155,7 +178,8 @@ def verdict_line(report: dict) -> str:
     return (f"verdict: out of bound: {', '.join(over) or 'none'}; "
             f"gain: {', '.join(gain) or 'none'}; "
             f"not all correct: {', '.join(broken) or 'none'}; "
-            f"results_hashes_equal: {str(report['results_hashes_equal']).lower()}")
+            f"results_hashes_equal: {str(report['results_hashes_equal']).lower()}; "
+            f"counters differ: {', '.join(report['counters_differ']) or 'none'}")
 
 
 def main(argv=None) -> int:
@@ -192,6 +216,8 @@ def main(argv=None) -> int:
         report["per_layer"] = per_layer(checkouts, workloads, SEEDS[0])
     report["results_hashes"] = hashes
     report["results_hashes_equal"] = hashes["parent"] == hashes["change"]
+    counters = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "ratio")]
+    report["counters_differ"] = counters_differ(report["per_layer"], counters)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(verdict_line(report))
     return 0
