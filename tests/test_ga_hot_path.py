@@ -293,7 +293,8 @@ class TestDistanceTables:
             rows = others[rng.integers(k, size=m)]
             assert same_bits(ga._row_sq(pts, rows), ref_rows(pts, rows))
             if d == 3:
-                # the inputs are ones on which another addition order gives other bits
+                # enough inputs give other bits under another addition order
+                # for the test to tell the orders apart
                 sq = (pts[:, None, :] - others[None, :, :]) ** 2
                 reordered += not same_bits(sq[..., 0] + (sq[..., 1] + sq[..., 2]),
                                            ref_table(pts, others))
@@ -307,6 +308,7 @@ class TestTableReuse:
         hists = dwell_histogram(binarize(trace, auto_threshold(trace)))
         config = GaConfig(tau_range=(1e-3, 100e-3))
         counts = {"tables": 0, "clusterings": 0, "handed": 0}
+        pairwise_sq, kmeans = ga._pairwise_sq, ga.kmeans_cluster
 
         def counting_table(pts):
             counts["tables"] += 1
@@ -317,7 +319,6 @@ class TestTableReuse:
             counts["handed"] += sq_dists is not None
             return kmeans(points, k, rng, sq_dists=sq_dists)
 
-        pairwise_sq, kmeans = ga._pairwise_sq, ga.kmeans_cluster
         monkeypatch.setattr(ga, "_pairwise_sq", counting_table)
         monkeypatch.setattr(ga, "kmeans_cluster", counting_kmeans)
         new = [run_ga(h, config, rng=seed) for seed, h in enumerate(hists)]
