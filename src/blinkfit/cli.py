@@ -123,6 +123,11 @@ def _print_estimate(state: str, est) -> None:
     )
 
 
+def _json_number(value):
+    """value, or None for a float JSON cannot hold (NaN or an infinity)."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _cmd_analyze(args) -> int:
     if args.method == "mfr" and not args.model:
         return _Parser._fail("--method mfr requires --model")
@@ -143,23 +148,28 @@ def _cmd_analyze(args) -> int:
     threshold, estimates = bench_mod.analyze_trace(
         trace, args.method, args.seed, models=models, ga_config=ga_config
     )
-    report = {"method": args.method, "seed": args.seed, "threshold": threshold}
+    report = {"method": args.method, "seed": args.seed, "threshold": _json_number(threshold)}
     for state, est in estimates.items():
         if "error" in est.diagnostics:
             message = est.diagnostics["message"]
             print(f"analysis failed for {state} state: {message}", file=sys.stderr)
-            report[f"tau_{state}_s"] = None
         else:
             _print_estimate(state, est)
-            report[f"tau_{state}_s"] = est.tau_hat
-            # JSON has no NaN: an unknown uncertainty is written as null
-            std_err = est.std_err if math.isfinite(est.std_err) else None
-            report[f"tau_{state}_std_err_s"] = std_err
+        # a failed state's lifetime and an unknown uncertainty are NaN, written as null
+        report[f"tau_{state}_s"] = _json_number(est.tau_hat)
+        report[f"tau_{state}_std_err_s"] = _json_number(est.std_err)
         report[f"{state}_converged"] = est.converged
+        # the scalars only: GA's estimate_log is a list of rows
+        report[f"{state}_diagnostics"] = {
+            key: _json_number(value)
+            for key, value in est.diagnostics.items()
+            if isinstance(value, (bool, int, float, str))
+        }
     if trace.truth is not None:
         print(f"sidecar truth: tau_on={trace.truth[0]} s tau_off={trace.truth[1]} s")
     if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        Path(args.report).write_text(text + "\n")
     return 0 if all(est.converged for est in estimates.values()) else 2
 
 

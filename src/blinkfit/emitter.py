@@ -307,22 +307,37 @@ def _read_sidecar(sidecar: Path) -> dict:
     return meta
 
 
-def _bulk_counts(path: Path, rows: int) -> np.ndarray | None:
-    """The counts column below the header in one np.loadtxt call, or None if refused.
+def _bulk_counts(path: Path, rows: int, signed: bool) -> np.ndarray | None:
+    """The counts column below the header in one np.loadtxt pass, or None if refused.
 
     rows is the number of commas in the data, counted on the file's bytes.
     loadtxt ignores fields after the one it reads, so a count of one comma
     per row stands in for the field check.  Data with no comma holds no
     valid row; it is left to _scan_rows, where loadtxt would only warn of
     empty input.
+
+    A file without a "-" (signed False) is parsed as int64 first, which is
+    faster; a Poisson trace that write_trace writes at a bin width of
+    1e-4 s or more is such a file (a smaller one writes times like 1e-05).
+    Every cell that pass accepts is decimal digits below 2**63, with at
+    most a "+" and surrounding whitespace, and BlinkTrace's int64 -> float64
+    cast rounds to nearest even as the correctly rounded decimal parse
+    does, so the counts get the float64 pass's bits.  A "-" skips it,
+    because int64 has no -0 for a "-0" count.  A file the int64 pass
+    refuses (a fraction, an exponent, inf, nan or a count of 2**63 or more)
+    falls through to the float64 pass.
     """
     if rows == 0:
         return None
-    try:
-        counts = np.loadtxt(path, delimiter=",", usecols=1, comments=None, ndmin=1, skiprows=1)
-    except ValueError:
-        return None
-    return counts if counts.size == rows else None
+    for dtype in (float,) if signed else (np.int64, float):
+        try:
+            counts = np.loadtxt(
+                path, delimiter=",", usecols=1, comments=None, ndmin=1, skiprows=1, dtype=dtype
+            )
+        except ValueError:
+            continue
+        return counts if counts.size == rows else None
+    return None
 
 
 def _scan_rows(path: Path) -> list[float]:
@@ -400,13 +415,15 @@ def read_trace(path) -> BlinkTrace:
     (_read_text), for the header and the first and last rows.  Bytes that
     encoding cannot decode raise ValueError naming the line, counted as
     universal newlines count it, and keeping the codec's message; the data's
-    commas are counted on the bytes.  Both buffers are dropped before the
-    counts are parsed in one np.loadtxt call.  Only a file that call or
-    its field check refuses, or that holds a non-finite count, is scanned
-    row by row (_scan_rows): the scan names the line at fault, or reads the
-    rows as float() does where loadtxt is stricter (whitespace-only lines,
-    digit separators).  A non-finite count is thus refused before the
-    sidecar is read.
+    commas are counted on the bytes, and so is whether the file holds a "-".
+    Both buffers are dropped before np.loadtxt parses the counts
+    (_bulk_counts): as int64 first when the file holds no "-", since a "-0"
+    count must read as -0.0, then as float64 if that pass is skipped or
+    refuses.  Only a file both refuse, that fails the field check, or that
+    holds a non-finite count, is scanned row by row (_scan_rows): the scan
+    names the line at fault, or reads the rows as float() does where
+    loadtxt is stricter (whitespace-only lines, digit separators).  A
+    non-finite count is thus refused before the sidecar is read.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -423,9 +440,10 @@ def read_trace(path) -> BlinkTrace:
         raise ValueError(f"unexpected trace header {header!r} in {path}")
     # the header's one comma; a comma byte is a comma in any ASCII-based encoding
     rows = np.count_nonzero(np.frombuffer(data, np.uint8) == ord(",")) - 1
+    signed = b"-" in data
     edges = _edge_rows(text, start)
     del data, text
-    counts = _bulk_counts(path, rows)
+    counts = _bulk_counts(path, rows, signed)
     if counts is None or not np.isfinite(counts).all():
         counts = _scan_rows(path)
     meta = _read_sidecar(path.with_suffix(".json"))

@@ -2,9 +2,10 @@
 
 A perf change is accepted or refused on these verdicts, so their edges
 are pinned here: the direction a metric's `better` sets, the 9-of-10
-pair count, a median gap against the parent's interquartile range, and
-the bound itself.  The traced per-layer runs, and the verdict line that
-main prints last, are checked with perfbench stubbed out.
+pair count, a median gap against the parent's interquartile range, the
+bound itself, and a parent spread too wide for the bound to settle.  The
+traced per-layer runs, and the verdict line that main prints last, are
+checked with perfbench stubbed out.
 """
 
 import importlib.util
@@ -97,6 +98,32 @@ class TestJudge:
         out = verdict(tool, parent, [factor] * 10, metric)
         assert out["within_bound"] is within
         assert not out["gain"]
+        assert not out["unresolved"]  # the parent's runs do not spread at all
+
+
+class TestUnresolved:
+    # PARENT's interquartile range is 0.2 x its median, and its runs span 0.7 to 1.3
+    TIGHT = {"name": "op_p90_s", "better": "lower", "bound": 0.1}
+    TIGHT_HIGHER = {"name": "op_p90_s", "better": "higher", "bound": 0.1}
+
+    @pytest.mark.parametrize(
+        "metric, change, unresolved",
+        [
+            (LOWER, PARENT, False),  # a spread of 0.2 is inside a 0.25 bound
+            (TIGHT, PARENT, True),
+            (TIGHT, [0.69] * 10, False),  # every change run beats every parent run
+            (TIGHT, [0.7] * 10, True),  # a tie with the parent's best run is no win
+            (TIGHT, [v - 0.21 for v in PARENT], True),  # a gain, yet 1.09 > 0.7
+            (TIGHT_HIGHER, [1.31] * 10, False),
+            (TIGHT_HIGHER, [1.29] * 10, True),
+        ],
+    )
+    def test_parent_spread_against_the_bound(self, tool, metric, change, unresolved):
+        assert verdict(tool, PARENT, change, metric)["unresolved"] is unresolved
+
+    def test_a_gain_can_be_unresolved(self, tool):
+        out = verdict(tool, PARENT, [v - 0.21 for v in PARENT], self.TIGHT)
+        assert out["gain"] and out["within_bound"] and out["unresolved"]
 
 
 class TestPerLayer:
@@ -211,19 +238,21 @@ class TestVerdictLine:
         out = tmp_path / "bench.json"
         assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
-        assert last == ("verdict: out of bound: long-lm op_p90_s; gain: trace-files setup_s; "
-                        "not all correct: sweep-2s; results_hashes_equal: true; "
-                        "counters differ: none")
+        assert last == ("verdict: out of bound: long-lm op_p90_s; unresolved: none; "
+                        "gain: trace-files setup_s; not all correct: sweep-2s; "
+                        "results_hashes_equal: true; counters differ: none")
         assert tool.verdict_line(json.loads(out.read_text())) == last
 
     def test_clean_run_and_a_run_without_metrics(self, tool):
-        fine = {"within_bound": True, "gain": False}
+        fine = {"within_bound": True, "gain": False, "unresolved": False}
+        wide = dict(fine, unresolved=True)
         report = {
-            "workloads": {"sweep-2s": {"all_correct": True, "verdict": {"op_p90_s": fine}},
+            "workloads": {"sweep-2s": {"all_correct": True,
+                                       "verdict": {"op_p90_s": fine, "setup_s": wide}},
                           "long-lm": {"runs": {}}},
             "results_hashes_equal": False,
             "counters_differ": [],
         }
         assert tool.verdict_line(report) == (
-            "verdict: out of bound: none; gain: none; not all correct: long-lm; "
-            "results_hashes_equal: false; counters differ: none")
+            "verdict: out of bound: none; unresolved: sweep-2s setup_s; gain: none; "
+            "not all correct: long-lm; results_hashes_equal: false; counters differ: none")

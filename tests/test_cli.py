@@ -15,6 +15,15 @@ def run(args):
     return main(args)
 
 
+def read_strict_json(path):
+    """The JSON in the file at path, refusing NaN and Infinity as strict JSON does."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def assert_error(capsys, *names):
     """stderr is one error line with no traceback, naming each of names.
 
@@ -328,6 +337,68 @@ class TestSharedPipeline:
         for state in ("on", "off"):
             assert payload[f"tau_{state}_s"] is not None
             assert payload[f"tau_{state}_std_err_s"] is None
+
+    def test_report_writes_scalar_diagnostics(self, trace_2s, tmp_path):
+        from blinkfit.bench import analyze_trace
+        from blinkfit.cli import DEFAULT_SEED
+        from blinkfit.emitter import read_trace
+
+        report = tmp_path / "r.json"
+        payloads = {}
+        for method in ("lm", "ga"):
+            run(["analyze", "--trace", str(trace_2s), "--method", method, "--report", str(report)])
+            payloads[method] = payload = read_strict_json(report)
+            _, estimates = analyze_trace(read_trace(trace_2s), method, DEFAULT_SEED)
+            for state, est in estimates.items():
+                scalars = {k: v for k, v in est.diagnostics.items() if k != "estimate_log"}
+                assert payload[f"{state}_diagnostics"] == scalars
+            if method == "ga":
+                assert "estimate_log" in estimates["off"].diagnostics
+        # the report shows that the on-state GA result is its heuristic seed,
+        # and why L-M's off-state fit was refused
+        assert payloads["ga"]["on_diagnostics"]["accepted"] == 0
+        assert payloads["ga"]["on_diagnostics"]["termination"] == "patience"
+        assert payloads["lm"]["off_diagnostics"]["sanity_rejected"] is True
+        assert payloads["lm"]["off_diagnostics"]["reason"] == "xtol"
+
+    def test_report_of_a_failed_state(self, tmp_path, capsys):
+        # 50 ms holds no dwell between the two censored boundary runs
+        trace = tmp_path / "short.csv"
+        assert run(["simulate", "--duration", "50ms", "--seed", "0", "--out", str(trace)]) == 0
+        report = tmp_path / "r.json"
+        args = ["analyze", "--trace", str(trace), "--method", "lm", "--report", str(report)]
+        assert run(args) == 2
+        assert "analysis failed for on state" in capsys.readouterr().err
+        payload = read_strict_json(report)
+        assert payload["threshold"] is None
+        for state in ("on", "off"):
+            assert payload[f"tau_{state}_s"] is None
+            assert payload[f"tau_{state}_std_err_s"] is None
+            assert payload[f"{state}_converged"] is False
+            assert payload[f"{state}_diagnostics"] == {
+                "error": "EmptyHistogramError",
+                "message": "no interior dwell between the censored boundary runs",
+            }
+
+    def test_report_writes_non_finite_values_as_null(self, trace_2s, tmp_path, monkeypatch):
+        from blinkfit import bench
+        from blinkfit.estimate import RateEstimate
+
+        diagnostics = {"cost": math.inf, "y0": -math.inf, "heuristic": math.nan,
+                       "reason": "xtol", "iterations": 3, "converged": True,
+                       "estimate_log": [(1, 0.015, 0.5)]}
+        est = RateEstimate(tau_hat=0.015, std_err=math.nan, method="lm", converged=True,
+                           diagnostics=diagnostics)
+        monkeypatch.setattr(bench, "analyze_trace", lambda *a, **k: (math.nan, {"on": est}))
+        report = tmp_path / "r.json"
+        args = ["analyze", "--trace", str(trace_2s), "--method", "lm", "--report", str(report)]
+        assert run(args) == 0
+        assert read_strict_json(report) == {
+            "method": "lm", "seed": 1234, "threshold": None,
+            "tau_on_s": 0.015, "tau_on_std_err_s": None, "on_converged": True,
+            "on_diagnostics": {"cost": None, "y0": None, "heuristic": None,
+                               "reason": "xtol", "iterations": 3, "converged": True},
+        }
 
     def test_ga_config_unknown_key(self, trace_2s, tmp_path, capsys):
         cfg = tmp_path / "ga.json"

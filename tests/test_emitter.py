@@ -14,7 +14,6 @@ from blinkfit.emitter import (
     DEFAULT_MEAN_ON_COUNTS,
     BlinkTrace,
     EmitterModel,
-    _bulk_counts,
     _draw_dwells,
     _read_sidecar,
     _scan_rows,
@@ -357,6 +356,11 @@ class TestTraceIO:
             ("0.0,12\n# 0.001,3\n0.002,5\n", [12.0, 3.0, 5.0]),
             ("0.0,1_000\n", [1000.0]),
             ("0.0,1.5e1\n0.001,+2.\n0.002,inf\n", None),
+            ("0.0,-0\n0.001,0\n", [-0.0, 0.0]),
+            ("0.0,+7\n", [7.0]),
+            ("0.0,9007199254740993\n", [2.0**53]),
+            ("0.0,99999999999999999999\n", [1e20]),
+            ("0.0,3\n0.001,12\n0.002,0\n0.003,2.5\n", [3.0, 12.0, 0.0, 2.5]),
         ],
         ids=[
             "spaces-around-count",
@@ -368,6 +372,11 @@ class TestTraceIO:
             "hash-is-not-a-comment",
             "digit-separator",
             "inf-is-parsed-then-refused",
+            "minus-zero",
+            "plus-sign",
+            "rounds-to-even-above-2**53",
+            "overflows-int64",
+            "fraction-in-the-last-row",
         ],
     )
     def test_accepted_rows(self, tmp_path, body, counts):
@@ -380,7 +389,8 @@ class TestTraceIO:
             assert str(info.value) == f"non-finite count at line 4 of {path}"
             return
         trace = read_trace(path)
-        np.testing.assert_array_equal(trace.counts, counts)
+        # bytes, so that the sign of a zero counts
+        assert trace.counts.tobytes() == np.array(counts, dtype=np.float64).tobytes()
         assert trace.counts.dtype == np.float64
 
     def test_non_finite_count_after_blank_lines(self, tmp_path):
@@ -553,9 +563,20 @@ class TestTraceIO:
 # --- reference: read_trace as it read the file through a text stream --------
 #
 # Kept verbatim from before read_trace read the file's bytes once, counted
-# the commas on the bytes and numbered lines only for an error message.
-# The fuzz below requires both to give the same counts or the same error;
-# read_trace words an undecodable file's error as expected_outcome says.
+# the commas on the bytes, numbered lines only for an error message and
+# parsed integer counts as int64 first.  The fuzz below requires both to
+# give the same counts or the same error; read_trace words an undecodable
+# file's error as expected_outcome says.
+
+
+def ref_bulk_counts(path: Path, rows: int) -> np.ndarray | None:
+    if rows == 0:
+        return None
+    try:
+        counts = np.loadtxt(path, delimiter=",", usecols=1, comments=None, ndmin=1, skiprows=1)
+    except ValueError:
+        return None
+    return counts if counts.size == rows else None
 
 
 def ref_edge_rows(body: str) -> list[tuple[int, str]]:
@@ -576,7 +597,7 @@ def ref_read_trace(path) -> BlinkTrace:
         if header != "t_s,counts":
             raise ValueError(f"unexpected trace header {header!r} in {path}")
         body = fh.read()
-    counts = _bulk_counts(path, body.count(","))
+    counts = ref_bulk_counts(path, body.count(","))
     if counts is None or not np.isfinite(counts).all():
         counts = _scan_rows(path)
     meta = _read_sidecar(path.with_suffix(".json"))
@@ -610,7 +631,7 @@ FUZZ_HEADERS = ["t_s,counts"] * 30 + [
 ]
 FUZZ_COUNTS = ["12", "3", "0", "41"] * 6 + [
     "-0", "7.5", "1e3", " 4 ", "\t5", "1_000", "+2.", "nan", "inf", "-inf", "", "x", "3#4",
-    "1\u20282", "2\xa0", "6\u3000",
+    "1\u20282", "2\xa0", "6\u3000", "+7", "9007199254740993",
 ]
 FUZZ_MALFORMED = ["7", "0.0,1,2", "#0.0,1", "0.0,1 # c", ",", "0.0;1", ",,", "a,b"]
 # str.isspace() is true for each; only "\n" (after "\r\n" and "\r") ends a line
@@ -674,13 +695,34 @@ def expected_outcome(path, data: bytes):
     return outcome
 
 
+def record_loadtxt(monkeypatch) -> list[tuple[type, bool]]:
+    """Wrap np.loadtxt; each call appends its dtype and whether it returned."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def wrapper(*args, **kwargs):
+        dtype = kwargs.get("dtype", float)
+        try:
+            out = loadtxt(*args, **kwargs)
+        except ValueError:
+            calls.append((dtype, False))
+            raise
+        calls.append((dtype, True))
+        return out
+
+    monkeypatch.setattr(np, "loadtxt", wrapper)
+    return calls
+
+
 class TestReadTraceOracle:
     @pytest.mark.parametrize("block", range(4))
-    def test_fuzz_matches_reference(self, tmp_path, block):
+    def test_fuzz_matches_reference(self, tmp_path, monkeypatch, block):
         path = tmp_path / "fuzz.csv"
         sidecar = path.with_suffix(".json")
         rng = np.random.default_rng([20, block])
+        calls = record_loadtxt(monkeypatch)
         undecodable = 0
+        passes = {"int64 ran": 0, "int64 read": 0, "float64 ran": 0}
         for case in range(750):
             data = fuzz_trace_file(rng)
             path.write_bytes(data)
@@ -689,6 +731,28 @@ class TestReadTraceOracle:
                 width = 2e-3 if rng.random() < 0.1 else 1e-3
                 sidecar.write_text(json.dumps({"bin_width_s": width}))
             expected = expected_outcome(path, data)
+            calls.clear()
             assert read_outcome(read_trace, path) == expected, (block, case, data)
             undecodable += "cannot decode" in str(expected[1])
+            passes["int64 ran"] += any(dtype is np.int64 for dtype, _ in calls)
+            passes["int64 read"] += (np.int64, True) in calls
+            passes["float64 ran"] += any(dtype is float for dtype, _ in calls)
         assert undecodable > 20
+        # both passes of _bulk_counts, and the int64 pass giving the counts
+        assert passes["int64 ran"] > 100 and passes["float64 ran"] > 100, passes
+        assert passes["int64 read"] > 50, passes
+
+    def test_int_pass_reads_poisson_files(self, tmp_path, monkeypatch):
+        # a --noise none trace has fractional counts where a bin straddles a switch
+        paths = {}
+        for noise in ("poisson", None):
+            paths[noise] = tmp_path / f"{noise}.csv"
+            write_trace(generate_trace(make_model(), 2.0, 1e-3, noise, rng=3), paths[noise])
+        expected = {noise: read_outcome(ref_read_trace, p) for noise, p in paths.items()}
+        calls = record_loadtxt(monkeypatch)
+        assert read_outcome(read_trace, paths["poisson"]) == expected["poisson"]
+        assert calls == [(np.int64, True)]
+        calls.clear()
+        assert read_outcome(read_trace, paths[None]) == expected[None]
+        assert calls == [(np.int64, False), (float, True)]
+        assert np.frombuffer(expected[None][0]).round().tobytes() != expected[None][0]

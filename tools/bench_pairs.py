@@ -25,7 +25,10 @@ printed.  Per workload and metric it also judges the untraced runs:
   better than the parent's by more than the parent's interquartile range;
 - `within_bound`: the change's median is worse than the parent's by at
   most the metric's `bound` from BENCHMARK.json, as a fraction of the
-  parent's median.
+  parent's median;
+- `unresolved`: the parent's interquartile range is wider than `bound` x
+  its median, so its runs spread too widely for a median inside the bound
+  to show no regression, and not every change run beats every parent run.
 
 The traced runs are compared too: every per-layer metric that
 BENCHMARK.json gives a count or ratio unit must read the same on both
@@ -33,9 +36,9 @@ sides of a workload, as it does for a change that leaves the output
 bit-exact.  Those that differ are listed under `counters_differ`.
 
 The last line printed is the verdict: every (workload, metric) out of
-its bound or with a gain, every workload whose runs were not all correct
-or gave no metrics, whether the hashes are equal, and every (workload,
-counter) that differs.
+its bound, unresolved or with a gain, every workload whose runs were not
+all correct or gave no metrics, whether the hashes are equal, and every
+(workload, counter) that differs.
 
 It needs only the standard library and git; perfbench itself needs what
 the program needs.
@@ -110,11 +113,15 @@ def judge(runs: dict, summaries: dict, metric: dict) -> dict:
     won = sum(sign * (c["metrics"][name] - p["metrics"][name]) < 0
               for p, c in zip(runs["parent"], runs["change"]))
     gap = sign * (parent["median"] - change["median"])
+    spread = parent["q3"] - parent["q1"]
+    beats_all = all(sign * (c["metrics"][name] - p["metrics"][name]) < 0
+                    for p in runs["parent"] for c in runs["change"])
     return {
         "change_won": won,
-        "gain": 10 * won >= 9 * len(runs["parent"]) and gap > parent["q3"] - parent["q1"],
+        "gain": 10 * won >= 9 * len(runs["parent"]) and gap > spread,
         "within_bound": sign * (change["median"] - parent["median"])
         <= metric["bound"] * parent["median"],
+        "unresolved": spread > metric["bound"] * parent["median"] and not beats_all,
     }
 
 
@@ -166,16 +173,19 @@ def counters_differ(per_layer: dict, names: list) -> list[str]:
 
 def verdict_line(report: dict) -> str:
     """The report's verdicts on one line, naming only what needs a look."""
-    over, gain, broken = [], [], []
+    over, unresolved, gain, broken = [], [], [], []
     for workload, entry in report["workloads"].items():
         if not entry.get("all_correct"):
             broken.append(workload)
         for metric, v in entry.get("verdict", {}).items():
             if not v["within_bound"]:
                 over.append(f"{workload} {metric}")
+            if v["unresolved"]:
+                unresolved.append(f"{workload} {metric}")
             if v["gain"]:
                 gain.append(f"{workload} {metric}")
     return (f"verdict: out of bound: {', '.join(over) or 'none'}; "
+            f"unresolved: {', '.join(unresolved) or 'none'}; "
             f"gain: {', '.join(gain) or 'none'}; "
             f"not all correct: {', '.join(broken) or 'none'}; "
             f"results_hashes_equal: {str(report['results_hashes_equal']).lower()}; "
