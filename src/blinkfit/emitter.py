@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import locale
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -325,16 +326,24 @@ def _bulk_counts(path: Path, rows: int, signed: bool) -> np.ndarray | None:
     does, so the counts get the float64 pass's bits.  A "-" skips it,
     because int64 has no -0 for a "-0" count.  A file the int64 pass
     refuses (a fraction, an exponent, inf, nan or a count of 2**63 or more)
-    falls through to the float64 pass.
+    falls through to the float64 pass.  Since numpy 1.23, loadtxt may read
+    an integer cell that is not an integer as a float and cast it, warning
+    with a DeprecationWarning; that warning is made an error, so on such a
+    numpy the int64 pass refuses those cells too.  A file whose first such
+    cell comes late pays for most of an int64 parse before the float64 one.
     """
     if rows == 0:
         return None
     for dtype in (float,) if signed else (np.int64, float):
         try:
-            counts = np.loadtxt(
-                path, delimiter=",", usecols=1, comments=None, ndmin=1, skiprows=1, dtype=dtype
-            )
-        except ValueError:
+            with warnings.catch_warnings():
+                if dtype is np.int64:
+                    warnings.simplefilter("error", DeprecationWarning)
+                counts = np.loadtxt(
+                    path, delimiter=",", usecols=1, comments=None, ndmin=1, skiprows=1,
+                    dtype=dtype,
+                )
+        except (ValueError, DeprecationWarning):
             continue
         return counts if counts.size == rows else None
     return None

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -714,6 +715,35 @@ def record_loadtxt(monkeypatch) -> list[tuple[type, bool]]:
     return calls
 
 
+def float_fallback_loadtxt(monkeypatch, chained: bool) -> None:
+    """Make np.loadtxt read an int64 cell that is not an integer as a float and cast it,
+    with a DeprecationWarning, as numpy 1.23 to at least 1.26 do.
+
+    Where that warning is an error, chained raises it as the cause of a ValueError, as
+    numpy's parser reports a failed cell; otherwise the warning itself propagates.
+    """
+    loadtxt = np.loadtxt
+
+    def wrapper(*args, dtype=float, **kwargs):
+        try:
+            return loadtxt(*args, dtype=dtype, **kwargs)
+        except ValueError:
+            if dtype is not np.int64:
+                raise
+        values = loadtxt(*args, dtype=float, **kwargs)
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        except DeprecationWarning as exc:
+            if chained:
+                raise ValueError("could not convert string to int64") from exc
+            raise
+        with np.errstate(invalid="ignore"):
+            return values.astype(np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", wrapper)
+
+
 class TestReadTraceOracle:
     @pytest.mark.parametrize("block", range(4))
     def test_fuzz_matches_reference(self, tmp_path, monkeypatch, block):
@@ -741,6 +771,28 @@ class TestReadTraceOracle:
         # both passes of _bulk_counts, and the int64 pass giving the counts
         assert passes["int64 ran"] > 100 and passes["float64 ran"] > 100, passes
         assert passes["int64 read"] > 50, passes
+
+    @pytest.mark.parametrize("chained", [True, False], ids=["chained", "raised"])
+    def test_int_pass_refuses_numpys_float_fallback(self, tmp_path, monkeypatch, chained):
+        bodies = [
+            "0.0,3\n0.001,12\n0.002,2.5\n",
+            "0.0,3\n0.001,99999999999999999999\n",
+            "0.0,3\n0.001,inf\n",
+            "0.0,3\n0.001,nan\n",
+        ]
+        paths = []
+        for i, body in enumerate(bodies):
+            paths.append(tmp_path / f"t{i}.csv")
+            paths[-1].write_text("t_s,counts\n" + body)
+            paths[-1].with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        expected = [read_outcome(ref_read_trace, path) for path in paths]
+        float_fallback_loadtxt(monkeypatch, chained)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            # where the warning is not an error, the cast gives wrong counts
+            assert np.loadtxt(["2.5"], dtype=np.int64) == 2
+        for path, outcome in zip(paths, expected):
+            assert read_outcome(read_trace, path) == outcome, path.read_text()
 
     def test_int_pass_reads_poisson_files(self, tmp_path, monkeypatch):
         # a --noise none trace has fractional counts where a bin straddles a switch
