@@ -226,15 +226,29 @@ def generate_trace(
 # Rows formatted and written per call.  A few thousand keeps the buffers
 # small: in the trace-files benchmark, 65536-row chunks raised peak RSS
 # from 50 to 56 MB, and so did one %-format over a 2048-row chunk (through
-# its growing output buffer, under glibc 2.36), which was 10-20 % faster
-# than the str.join of per-row f-strings used here.
+# its growing output buffer, under glibc 2.36).
 _CHUNK_ROWS = 2048
 _EXACT_INT = 2.0**53  # below this, float64 -> int64 is exact
+_SHORT_INT = 2**52  # for n below this, one ulp of n / 10**p is less than 10**-p
 _LEADING_SPACE = re.compile(r"\s*")  # \s is what str.strip() strips
+_MINUS_CHECKS = 1000  # "-" bytes _signed_counts looks at before it answers True
 
 
-def _count_cells(part: np.ndarray) -> list:
-    """The count cells of one chunk, as ints or as the strings to write.
+def _int_texts(values: np.ndarray, fmt: str) -> list[str]:
+    """fmt.format(v) for each of the int64 values.
+
+    When the values span no more than their own number, each text is built
+    once, in a table over that span, and looked up per value.
+    """
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < values.size:
+        table = [fmt.format(v) for v in range(lo, hi + 1)]
+        return [table[k] for k in (values - lo).tolist()]
+    return [fmt.format(v) for v in values.tolist()]
+
+
+def _count_cells(part: np.ndarray) -> list[str]:
+    """The ",<count>\n" tail of each row of one chunk.
 
     A chunk whose counts are all integral and below 2**53 in magnitude
     converts to int64 exactly, and an int formats as repr(int(c)).  Any
@@ -242,8 +256,47 @@ def _count_cells(part: np.ndarray) -> list:
     301-digit integer and 2**53 as its own digits.
     """
     if (np.abs(part) < _EXACT_INT).all() and (part == np.trunc(part)).all():
-        return part.astype(np.int64).tolist()
-    return [repr(int(c)) if c.is_integer() else repr(c) for c in part.tolist()]
+        return _int_texts(part.astype(np.int64), ",{}\n")
+    return [f",{int(c)}\n" if c.is_integer() else f",{c!r}\n" for c in part.tolist()]
+
+
+def _integer_times(bin_width: float) -> tuple[int, int, list[str]] | None:
+    """M, 10**p and the fraction texts, when repr(bin_width) is a plain W.F with p = len(F) <= 4.
+
+    M is int(W + F).  The fraction text of k < 10**p is a point and k's p
+    digits less their trailing zeros, or ".0".  None for a repr with an
+    exponent or more fraction digits.
+    """
+    whole, dot, fraction = repr(bin_width).partition(".")
+    p = len(fraction)
+    if not dot or "e" in fraction or p > 4:
+        return None
+    fractions = ["." + (f"{k:0{p}d}".rstrip("0") or "0") for k in range(10**p)]
+    return int(whole + fraction), 10**p, fractions
+
+
+def _time_cells(start: int, size: int, bin_width: float, integer_times) -> tuple:
+    """The whole part and the fraction of repr(i * bin_width), rows start to start + size.
+
+    integer_times is _integer_times(bin_width).  See write_trace for when
+    the two come from integers; on every other row the whole part is the
+    repr and the fraction is "".
+    """
+    i = np.arange(start, start + size)
+    times = i * bin_width
+    if integer_times is None:
+        return list(map(repr, times.tolist())), [""] * size
+    m, scale, fractions = integer_times
+    limit = -(-_SHORT_INT // m)  # i * m < 2**52 exactly when i < limit
+    n = np.minimum(i, limit) * m
+    exact = (i < limit) & (times == n / scale) & (times >= 1e-4)
+    wholes = _int_texts(n // scale, "{}")
+    fracs = [fractions[k] for k in (n % scale).tolist()]
+    rest = np.flatnonzero(~exact)
+    for k, t in zip(rest.tolist(), times[rest].tolist()):
+        wholes[k] = repr(t)
+        fracs[k] = ""
+    return wholes, fracs
 
 
 def write_trace(trace: BlinkTrace, path) -> None:
@@ -255,23 +308,42 @@ def write_trace(trace: BlinkTrace, path) -> None:
     sidecar sits at the path with suffix .json, so a path ending in .json
     raises ValueError before anything is written.
 
-    The rows go out _CHUNK_ROWS at a time, one write per chunk, with the
-    bytes of a loop that formats one row at a time.  int64 to float64 is
-    exact below 2**53, so np.arange(...) * bin_width is the same single
-    IEEE product as i * bin_width, and .tolist() hands repr Python floats,
-    never np.float64(...).  The counts follow _count_cells.
+    The rows go out _CHUNK_ROWS at a time, one write of one str.join per
+    chunk over three pieces per row (the whole part of <t>, its fraction
+    and ",<count>\n"), with the bytes of a loop that formats one row at a
+    time.  int64 to float64 is exact below 2**53, so
+    np.arange(...) * bin_width is the same single IEEE product as
+    i * bin_width, and .tolist() hands repr Python floats, never
+    np.float64(...).  The counts follow _count_cells.
+
+    <t> is built from integers where that provably gives repr's text.  Let
+    repr(bin_width) be a plain W.F with p = len(F) <= 4 and no exponent,
+    and M = int(W + F).  Row i, with n = i * M, is written as n // 10**p,
+    a point and the p digits of n % 10**p less their trailing zeros (or
+    0) when n < 2**52, i * bin_width == n / 10**p as floats, and
+    i * bin_width >= 1e-4.  Then n and 10**p are exact doubles, so the
+    quotient is the double nearest the decimal n * 10**-p; below
+    2**52 * 10**-p one ulp is less than 10**-p, so no other decimal of
+    at most p fraction digits, and none with fewer significant digits,
+    reads back as that double, and the decimal is repr's shortest string;
+    from 1e-4 up to 1e16 repr writes it positionally.  Every other row,
+    and every row of a bin width whose repr has an exponent or more than
+    4 fraction digits, takes repr.
     """
     path = Path(path)
     sidecar = path.with_suffix(".json")
     if sidecar == path:
         raise ValueError(f"trace path {path} ends in .json, where its sidecar goes")
     bw = trace.bin_width
+    integer_times = _integer_times(bw)
     with path.open("w") as fh:
         fh.write("t_s,counts\n")
         for start in range(0, trace.counts.size, _CHUNK_ROWS):
             part = trace.counts[start : start + _CHUNK_ROWS]
-            times = (np.arange(start, start + part.size) * bw).tolist()
-            fh.write("".join([f"{t!r},{c}\n" for t, c in zip(times, _count_cells(part))]))
+            pieces = [""] * (3 * part.size)
+            pieces[0::3], pieces[1::3] = _time_cells(start, part.size, bw, integer_times)
+            pieces[2::3] = _count_cells(part)
+            fh.write("".join(pieces))
     meta = {
         "bin_width_s": trace.bin_width,
         "mean_on_counts": trace.mean_on_counts,
@@ -317,9 +389,10 @@ def _bulk_counts(path: Path, rows: int, signed: bool) -> np.ndarray | None:
     valid row; it is left to _scan_rows, where loadtxt would only warn of
     empty input.
 
-    A file without a "-" (signed False) is parsed as int64 first, which is
-    faster; a Poisson trace that write_trace writes at a bin width of
-    1e-4 s or more is such a file (a smaller one writes times like 1e-05).
+    A file without a "-" in a count cell (signed False, see
+    _signed_counts) is parsed as int64 first, which is faster; every
+    Poisson trace that write_trace writes is such a file, including one at
+    a bin width under 1e-4 s, whose times like 5e-05 hold a "-".
     Every cell that pass accepts is decimal digits below 2**63, with at
     most a "+" and surrounding whitespace, and BlinkTrace's int64 -> float64
     cast rounds to nearest even as the correctly rounded decimal parse
@@ -347,6 +420,28 @@ def _bulk_counts(path: Path, rows: int, signed: bool) -> np.ndarray | None:
             continue
         return counts if counts.size == rows else None
     return None
+
+
+def _signed_counts(data: bytes) -> bool:
+    """Whether a "-" in the file's bytes follows a comma on its line.
+
+    np.loadtxt reads the count after a line's first comma, so only such a
+    "-" can sign a count; one in a time cell, like the "5e-05" of a bin
+    width under 1e-4 s, cannot.  Lines end at LF or CR, as universal
+    newlines ends them.  Each "-" is checked against the last comma before
+    it, from the first "-" on; after _MINUS_CHECKS of them in time cells
+    the answer is True, which only sends the file to the float64 pass.
+    """
+    minus = data.find(b"-")
+    for _ in range(_MINUS_CHECKS):
+        if minus < 0:
+            return False
+        comma = data.rfind(b",", 0, minus)
+        between = data[comma:minus]
+        if comma >= 0 and b"\n" not in between and b"\r" not in between:
+            return True
+        minus = data.find(b"-", minus + 1)
+    return True
 
 
 def _scan_rows(path: Path) -> list[float]:
@@ -424,15 +519,16 @@ def read_trace(path) -> BlinkTrace:
     (_read_text), for the header and the first and last rows.  Bytes that
     encoding cannot decode raise ValueError naming the line, counted as
     universal newlines count it, and keeping the codec's message; the data's
-    commas are counted on the bytes, and so is whether the file holds a "-".
-    Both buffers are dropped before np.loadtxt parses the counts
-    (_bulk_counts): as int64 first when the file holds no "-", since a "-0"
-    count must read as -0.0, then as float64 if that pass is skipped or
-    refuses.  Only a file both refuse, that fails the field check, or that
-    holds a non-finite count, is scanned row by row (_scan_rows): the scan
-    names the line at fault, or reads the rows as float() does where
-    loadtxt is stricter (whitespace-only lines, digit separators).  A
-    non-finite count is thus refused before the sidecar is read.
+    commas are counted on the bytes, and so is whether a "-" follows a
+    comma on its line (_signed_counts).  Both buffers are dropped before
+    np.loadtxt parses the counts (_bulk_counts): as int64 first when no
+    count cell holds a "-", since a "-0" count must read as -0.0, then as
+    float64 if that pass is skipped or refuses.  Only a file both refuse,
+    that fails the field check, or that holds a non-finite count, is
+    scanned row by row (_scan_rows): the scan names the line at fault, or
+    reads the rows as float() does where loadtxt is stricter
+    (whitespace-only lines, digit separators).  A non-finite count is thus
+    refused before the sidecar is read.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -449,7 +545,7 @@ def read_trace(path) -> BlinkTrace:
         raise ValueError(f"unexpected trace header {header!r} in {path}")
     # the header's one comma; a comma byte is a comma in any ASCII-based encoding
     rows = np.count_nonzero(np.frombuffer(data, np.uint8) == ord(",")) - 1
-    signed = b"-" in data
+    signed = _signed_counts(data)
     edges = _edge_rows(text, start)
     del data, text
     counts = _bulk_counts(path, rows, signed)

@@ -5,16 +5,18 @@ are pinned here: the direction a metric's `better` sets, the 9-of-10
 pair count, a median gap against the parent's interquartile range, the
 bound itself, and a parent spread too wide for the bound to settle.  The
 traced per-layer runs, and the verdict line that main prints last, are
-checked with perfbench stubbed out.
+checked with perfbench stubbed out, and so are the import timings.
 """
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
 LOWER = {"name": "op_p90_s", "better": "lower", "bound": 0.25}
 HIGHER = {"name": "op_p90_s", "better": "higher", "bound": 0.25}
 
@@ -25,6 +27,16 @@ def tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class Proc:
+    def __init__(self, stdout):
+        self.stdout = stdout
+
+
+def fake_subprocess_run(cmd, **kwargs):
+    """git's revision, or 0.1 s from an import-timing child."""
+    return Proc("0.1\n" if cmd[1] == "-c" else "abc123\n")
 
 
 def runs_of(values):
@@ -167,6 +179,51 @@ class TestPerLayer:
                        "metrics": {"x": 2.0}, "results_hash": "results.csv sha256=abc"}
 
 
+class TestImportTimes:
+    def test_child_is_perfbenchs(self, tool):
+        tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+        children = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["_IMPORT_CHILD"]]
+        assert children == [tool.IMPORT_CHILD]
+
+    def test_alternating_fresh_interpreters(self, tool, monkeypatch):
+        calls = []
+        times = {"p": iter([0.5, 0.1, 0.3, 0.2, 0.4]), "c": iter([0.15, 0.05, 0.1, 0.2, 0.25])}
+
+        def fake_run(cmd, **kwargs):
+            calls.append(cmd)
+            return Proc(f"{next(times[Path(cmd[-1]).parent.name])}\n")
+
+        monkeypatch.setattr(tool.subprocess, "run", fake_run)
+        out = tool.import_times({"parent": Path("p"), "change": Path("c")}, runs=5)
+        sides = [Path(cmd[-1]).parent.name for cmd in calls]
+        assert sides == ["p", "c", "c", "p"] * 2 + ["p", "c"]
+        assert all(cmd[:3] == [tool.sys.executable, "-c", tool.IMPORT_CHILD] for cmd in calls)
+        assert {Path(cmd[-1]).name for cmd in calls} == {"src"}
+        assert out["parent"].pop("runs") == [0.5, 0.1, 0.3, 0.2, 0.4]
+        assert out["parent"] == pytest.approx({"median": 0.3, "q1": 0.2, "q3": 0.4})
+        assert out["change"]["median"] == pytest.approx(0.15)
+        assert tool.import_line(out) == ("import_s: parent 0.3000 s (0.2000-0.4000), "
+                                         "change 0.1500 s (0.1000-0.2000)")
+
+    def test_main_records_import_times(self, tool, monkeypatch, tmp_path):
+        def fake_run_once(checkout, workload, seed, seconds, trace=0):
+            return {"seed": seed, "exit": 0, "correct": True, "attempted": 4, "failed": 0,
+                    "metrics": {"setup_s": 1.0, "op_p90_s": 1.0, "peak_rss_mb": 50.0}}
+
+        monkeypatch.setattr(tool, "run_once", fake_run_once)
+        monkeypatch.setattr(tool, "export", lambda rev, into: tmp_path / "parent")
+        monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
+        out = tmp_path / "bench.json"
+        assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
+        import_s = json.loads(out.read_text())["import_s"]
+        assert list(import_s) == ["parent", "change"]
+        for side in import_s.values():
+            assert side["runs"] == [0.1] * tool.IMPORT_RUNS
+            assert side["median"] == side["q1"] == side["q3"] == 0.1
+
+
 class TestCountersDiffer:
     def test_only_named_counters_that_differ(self, tool):
         same = {"ga.lloyd_iterations": 1698.75, "ga.accepted_per_generation": 0.25,
@@ -196,12 +253,9 @@ class TestCountersDiffer:
             return {"seed": seed, "exit": 0, "correct": True, "attempted": 4, "failed": 0,
                     "metrics": metrics, "results_hash": f"results.csv sha256={seed}"}
 
-        class Git:
-            stdout = "abc123\n"
-
         monkeypatch.setattr(tool, "run_once", fake_run_once)
         monkeypatch.setattr(tool, "export", lambda rev, into: parent_dir)
-        monkeypatch.setattr(tool.subprocess, "run", lambda *a, **k: Git())
+        monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
         out = tmp_path / "bench.json"
         assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
@@ -229,15 +283,14 @@ class TestVerdictLine:
             return {"seed": seed, "exit": 0, "correct": correct, "attempted": 4, "failed": 0,
                     "metrics": metrics, "results_hash": f"results.csv sha256={seed}"}
 
-        class Git:
-            stdout = "abc123\n"
-
         monkeypatch.setattr(tool, "run_once", fake_run_once)
         monkeypatch.setattr(tool, "export", lambda rev, into: parent_dir)
-        monkeypatch.setattr(tool.subprocess, "run", lambda *a, **k: Git())
+        monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
         out = tmp_path / "bench.json"
         assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
-        last = capsys.readouterr().out.splitlines()[-1]
+        *_, imports, last = capsys.readouterr().out.splitlines()
+        assert imports == ("import_s: parent 0.1000 s (0.1000-0.1000), "
+                           "change 0.1000 s (0.1000-0.1000)")
         assert last == ("verdict: out of bound: long-lm op_p90_s; unresolved: none; "
                         "gain: trace-files setup_s; not all correct: sweep-2s; "
                         "results_hashes_equal: true; counters differ: none")

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blinkfit import emitter
 from blinkfit.dwell import binarize
 from blinkfit.emitter import (
+    _MINUS_CHECKS,
     DEFAULT_MEAN_OFF_COUNTS,
     DEFAULT_MEAN_ON_COUNTS,
     BlinkTrace,
@@ -18,6 +20,7 @@ from blinkfit.emitter import (
     _draw_dwells,
     _read_sidecar,
     _scan_rows,
+    _signed_counts,
     generate_trace,
     read_trace,
     write_trace,
@@ -561,6 +564,71 @@ class TestTraceIO:
         )
 
 
+# --- reference: write_trace as it formatted one row at a time --------------
+
+
+def ref_write_text(trace: BlinkTrace) -> str:
+    """The CSV of one f-string per row, each count as _count_cells formats it."""
+    bw = trace.bin_width
+    rows = ["t_s,counts\n"]
+    for i, c in enumerate(trace.counts.tolist()):
+        cell = repr(int(c)) if c.is_integer() else repr(c)
+        rows.append(f"{i * bw!r},{cell}\n")
+    return "".join(rows)
+
+
+# 90071992.5474 has M = 900719925474 and p = 4, so i * M passes 2**52 after row 5000
+WRITE_WIDTHS = [1e-3, 2e-3, 2.5e-3, 5e-4, 3e-4, 1e-4, 1e-2, 0.1, 1.0, 2.0, 1 / 3, 7e-3,
+                5e-5, 1e-5, np.float64(4e-3), 90071992.5474]
+# crosses a 10**p block of i * M for every p <= 4, and five 2048-row chunks
+WRITE_ROWS = 10_500
+WRITE_PINS = {0: -0.0, 2047: 2.0**53, 2048: 1e300, 5000: -3.0, 9999: -2.0**60, 10_499: 7.25}
+
+
+def write_counts(kind: str) -> np.ndarray:
+    if kind == "noise-free":
+        return generate_trace(make_model(), WRITE_ROWS * 1e-3, 1e-3, None, rng=9).counts
+    counts = np.random.default_rng(9).poisson(40, WRITE_ROWS).astype(float)
+    if kind == "pins":
+        for i, c in WRITE_PINS.items():
+            counts[i] = c
+    return counts
+
+
+class TestWriteRows:
+    @pytest.mark.parametrize("kind", ["poisson", "noise-free", "pins"])
+    @pytest.mark.parametrize("bin_width", WRITE_WIDTHS, ids=repr)
+    def test_matches_per_row_reference(self, tmp_path, bin_width, kind):
+        trace = BlinkTrace(bin_width, write_counts(kind))
+        assert len(trace) == WRITE_ROWS
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        assert path.read_bytes() == ref_write_text(trace).encode()
+
+    @pytest.mark.parametrize(
+        "bin_width, low, high",
+        [(1e-3, 0.8, 1.0), (90071992.5474, 0.3, 5001 / WRITE_ROWS), (5e-5, 0.0, 0.0),
+         (1 / 3, 0.0, 0.0)],
+        ids=repr,
+    )
+    def test_rows_with_integer_text(self, tmp_path, monkeypatch, bin_width, low, high):
+        # a row takes the integer text when its fraction piece is not ""
+        rows = []
+        time_cells = emitter._time_cells
+
+        def wrapper(start, size, *args):
+            wholes, fractions = time_cells(start, size, *args)
+            rows.extend(start + k for k, f in enumerate(fractions) if f)
+            return wholes, fractions
+
+        monkeypatch.setattr(emitter, "_time_cells", wrapper)
+        write_trace(BlinkTrace(bin_width, write_counts("poisson")), tmp_path / "trace.csv")
+        assert low * WRITE_ROWS <= len(rows) <= high * WRITE_ROWS
+        assert 0 not in rows  # 0.0 is under 1e-4
+        if bin_width == 90071992.5474:
+            assert max(rows) == 5000  # the last row with i * M below 2**52
+
+
 # --- reference: read_trace as it read the file through a text stream --------
 #
 # Kept verbatim from before read_trace read the file's bytes once, counted
@@ -795,16 +863,45 @@ class TestReadTraceOracle:
             assert read_outcome(read_trace, path) == outcome, path.read_text()
 
     def test_int_pass_reads_poisson_files(self, tmp_path, monkeypatch):
-        # a --noise none trace has fractional counts where a bin straddles a switch
+        # a --noise none trace has fractional counts where a bin straddles a switch;
+        # at 5e-5 s the second time is 5e-05, a "-" in no count
         paths = {}
-        for noise in ("poisson", None):
-            paths[noise] = tmp_path / f"{noise}.csv"
-            write_trace(generate_trace(make_model(), 2.0, 1e-3, noise, rng=3), paths[noise])
-        expected = {noise: read_outcome(ref_read_trace, p) for noise, p in paths.items()}
+        for name, noise, bin_width in [("poisson", "poisson", 1e-3), ("none", None, 1e-3),
+                                       ("5e-5", "poisson", 5e-5)]:
+            paths[name] = tmp_path / f"{name}.csv"
+            trace = generate_trace(make_model(), 2000 * bin_width, bin_width, noise, rng=3)
+            write_trace(trace, paths[name])
+        assert b"\n5e-05," in paths["5e-5"].read_bytes()
+        paths["minus"] = tmp_path / "minus.csv"
+        paths["minus"].write_text("t_s,counts\n0.0,3\n0.001,-0\n0.002,12\n")
+        paths["minus"].with_suffix(".json").write_text('{"bin_width_s": 0.001}')
+        expected = {name: read_outcome(ref_read_trace, p) for name, p in paths.items()}
         calls = record_loadtxt(monkeypatch)
-        assert read_outcome(read_trace, paths["poisson"]) == expected["poisson"]
-        assert calls == [(np.int64, True)]
-        calls.clear()
-        assert read_outcome(read_trace, paths[None]) == expected[None]
-        assert calls == [(np.int64, False), (float, True)]
-        assert np.frombuffer(expected[None][0]).round().tobytes() != expected[None][0]
+        for name, passes in [("poisson", [(np.int64, True)]),
+                             ("none", [(np.int64, False), (float, True)]),
+                             ("5e-5", [(np.int64, True)]),
+                             ("minus", [(float, True)])]:
+            calls.clear()
+            assert read_outcome(read_trace, paths[name]) == expected[name], name
+            assert calls == passes, name
+        assert np.frombuffer(expected["none"][0]).round().tobytes() != expected["none"][0]
+        assert np.signbit(np.frombuffer(expected["minus"][0])).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize(
+        "data, signed",
+        [
+            (b"t_s,counts\n0.0,3\n5e-05,4\n", False),
+            (b"t_s,counts\r\n0.0,3\r\n5e-05,4\r\n", False),
+            (b"t_s,counts\r0.0,3\r5e-05,4\r", False),  # a lone CR ends a line too
+            (b"t_s,counts\n-0.0,3\n", False),
+            (b"t_s,counts\n0.0,3\n5e-05,-0\n", True),
+            (b"t_s,counts\r0.0,3\r5e-05,-0", True),
+            (b"t_s,counts\n0.0,3,-2\n", True),  # a later field, which loadtxt ignores
+            (b"t_s,counts\n" + b"1e-05,3\n" * (_MINUS_CHECKS - 1) + b"0.001,-4\n", True),
+            (b"t_s,counts\n" + b"1e-05,3\n" * _MINUS_CHECKS, True),  # too many to look at
+            (b"t_s,counts\n" + b"1e-05,3\n" * (_MINUS_CHECKS - 1), False),
+            (b"t_s,counts\n0.0,3\n", False),
+        ],
+    )
+    def test_signed_counts(self, data, signed):
+        assert _signed_counts(data) is signed

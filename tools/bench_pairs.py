@@ -13,13 +13,18 @@ each workload runs once per side with `--trace 1 --seconds 0` at the first
 seed, for the per-layer counters and self times: `--seconds 0` is exactly
 one round, so both sides' per-op counters average over the same ops.  A
 traced run reports no end-to-end metrics, so it is judged by nothing.
+Then `import blinkfit.cli` is timed in IMPORT_RUNS fresh interpreters per
+side, the sides alternating, with the child perfbench times for it: on a
+workload whose set-up does nothing else, `setup_s` is that import, so
+these times tell an import regression apart from the set-up spread.
 Runs are sequential, one process at a time.
 
 The JSON written holds every run's end-to-end metrics, `correct`,
 `attempted` and `failed`; per workload and side the median and quartiles
 of each metric; the pairs the change won; the hash lines; the traced
-runs under `per_layer[workload][side]`; and the machine facts the runs
-printed.  Per workload and metric it also judges the untraced runs:
+runs under `per_layer[workload][side]`; the import times under
+`import_s[side]`, with their median and quartiles; and the machine facts
+the runs printed.  Per workload and metric it also judges the untraced runs:
 
 - `gain`: the change won at least 9 of 10 pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -35,7 +40,8 @@ BENCHMARK.json gives a count or ratio unit must read the same on both
 sides of a workload, as it does for a change that leaves the output
 bit-exact.  Those that differ are listed under `counters_differ`.
 
-The last line printed is the verdict: every (workload, metric) out of
+The import times' medians and quartiles are printed next, and the last
+line printed is the verdict: every (workload, metric) out of
 its bound, unresolved or with a gain, every workload whose runs were not
 all correct or gave no metrics, whether the hashes are equal, and every
 (workload, counter) that differs.
@@ -58,6 +64,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(101, 111)  # one alternating pair per seed and workload
 HASH_SEEDS = (1, 2, 3)
+IMPORT_RUNS = 21  # fresh interpreters per side
+# perfbench/run.py's _IMPORT_CHILD: argv[1] is the checkout's src directory
+IMPORT_CHILD = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); "
+    "t = time.perf_counter(); import blinkfit.cli; print(time.perf_counter() - t)"
+)
 
 
 def export(rev: str, into: Path) -> Path:
@@ -96,14 +108,37 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return run
 
 
+def quartiles(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
 def summary(runs: list[dict]) -> dict:
     """Median and quartiles of each end-to-end metric over a side's runs."""
-    out = {}
-    for name in runs[0]["metrics"]:
-        values = [r["metrics"][name] for r in runs]
-        q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[name] = {"median": q2, "q1": q1, "q3": q3}
-    return out
+    return {name: quartiles([r["metrics"][name] for r in runs]) for name in runs[0]["metrics"]}
+
+
+def import_times(checkouts: dict, runs: int = IMPORT_RUNS) -> dict:
+    """Seconds of `import blinkfit.cli` in runs fresh interpreters per side.
+
+    The side that goes first alternates from run to run.  Each side gets
+    its times under "runs", with their median and quartiles.
+    """
+    times = {side: [] for side in checkouts}
+    for i in range(runs):
+        for side in list(checkouts)[:: 1 if i % 2 == 0 else -1]:
+            done = subprocess.run(
+                [sys.executable, "-c", IMPORT_CHILD, str(checkouts[side] / "src")],
+                capture_output=True, text=True, check=True,
+            )
+            times[side].append(float(done.stdout.split()[-1]))
+    return {side: dict(quartiles(values), runs=values) for side, values in times.items()}
+
+
+def import_line(import_s: dict) -> str:
+    return "import_s: " + ", ".join(
+        f"{side} {q['median']:.4f} s ({q['q1']:.4f}-{q['q3']:.4f})" for side, q in import_s.items()
+    )
 
 
 def judge(runs: dict, summaries: dict, metric: dict) -> dict:
@@ -224,11 +259,13 @@ def main(argv=None) -> int:
                 print(f"hash seed {seed} {side}: {hashes[side][str(seed)]}", flush=True)
                 report.setdefault("machine", run.get("machine"))
         report["per_layer"] = per_layer(checkouts, workloads, SEEDS[0])
+        report["import_s"] = import_times(checkouts)
     report["results_hashes"] = hashes
     report["results_hashes_equal"] = hashes["parent"] == hashes["change"]
     counters = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "ratio")]
     report["counters_differ"] = counters_differ(report["per_layer"], counters)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    print(import_line(report["import_s"]))
     print(verdict_line(report))
     return 0
 
