@@ -3,15 +3,11 @@
 Individuals are random subsets of a dwell histogram's (duration,
 occurrences) pairs, held as sorted row indices into hist.pairs().  Each
 generation the two live individuals are clustered (K-means++ seeding,
-Lloyd refinement), scored by mean silhouette minus an elitism penalty, and
-either yield a lifetime estimate from the winner's tightest cluster that
-yields one or are replaced by two independently mutated clones of the
-winner.  A run ends in one of three ways: "stability", once the rolling
-window of accepted estimates agrees; "patience", once a full cycle of
-cluster counts has passed with nothing accepted; or "max_iterations",
-once the generation budget runs out.  The last two return a weighted
-blend of the estimate log.  A caller sets only GaConfig's tau_range and
-max_iterations; every other hyperparameter is a module constant.
+Lloyd refinement) and scored by mean silhouette minus an elitism penalty;
+the winner either yields a lifetime from its tightest cluster that yields
+one or is replaced by two mutated clones.  run_ga documents how a run
+ends.  A caller sets only GaConfig's tau_range and max_iterations; every
+other hyperparameter is a module constant.
 """
 
 from __future__ import annotations
@@ -62,12 +58,8 @@ class GaConfig:
 
 @dataclass(eq=False)
 class Clustering:
-    """K-means output: centroids, assignment and the final potential.
-
-    It also carries the clustered points and their pairwise squared-distance
-    table, which silhouette reads and run_ga hands on to a clone that
-    mutation left unchanged.
-    """
+    """K-means output: centroids, assignment, the final potential, and the
+    clustered points with their squared-distance table for silhouette."""
 
     k: int
     centroids: np.ndarray
@@ -75,8 +67,7 @@ class Clustering:
     potential: float
     phi_history: list[float] = field(default_factory=list)
     points: np.ndarray | None = None
-    # squared distance between every two points, computed by kmeans_cluster
-    # or handed to it (its sq_dists); silhouette computes it when absent
+    # squared distance between every two points; silhouette computes it when absent
     sq_dists: np.ndarray | None = None
 
 
@@ -105,33 +96,32 @@ def spawn_individual(hist: DwellHistogram, rng: np.random.Generator) -> np.ndarr
     if m == 0:
         raise InsufficientDataError("cannot spawn an individual from an empty histogram")
     size = int(math.ceil(SUBSET_FRACTION * m))
-    return np.sort(rng.choice(m, size=size, replace=False))
+    rows = rng.choice(m, size=size, replace=False)
+    rows.sort()
+    return rows
 
 
 def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
-    """rng.choice(len(p), p=p) without choice's argument checks.
-
-    The same single uniform draw, mapped through the same normalised cdf,
-    so the index and the generator's state after the draw are the same.
-    """
+    """rng.choice(len(p), p=p), with the same single draw, without its checks."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _sq_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_table(a: np.ndarray, b: np.ndarray, cols: list | None = None) -> np.ndarray:
     """Squared distance from every row of a to every row of b, shape (len(a), len(b)).
 
-    Built one coordinate at a time, without an (m, n, d) temporary: each
-    coordinate's squared differences are added in coordinate order, the
-    order ((a - b) ** 2).sum(axis=2) adds them in for fewer than 8
-    coordinates, so the bits are the same.  On the GA's two coordinates
-    either form is a single add.
+    Added one coordinate at a time, in the order ((a - b) ** 2).sum(axis=2)
+    adds them for fewer than 8 coordinates, so the bits are the same.
+    cols, when given, holds a's (m, 1) coordinate columns.
     """
-    table = a[:, 0, None] - b[None, :, 0]
+    if cols is None:
+        cols = list(a.T[:, :, None])
+    per_coord = b.T
+    table = cols[0] - per_coord[0]
     table *= table
-    for c in range(1, a.shape[1]):
-        diff = a[:, c, None] - b[None, :, c]
+    for c in range(1, len(cols)):
+        diff = cols[c] - per_coord[c]
         diff *= diff
         table += diff
     return table
@@ -152,39 +142,31 @@ def _pairwise_sq(pts: np.ndarray) -> np.ndarray:
     return _sq_table(pts, pts)
 
 
-def _seed_indices(sq_dists: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+def _seed_indices(sq_dists: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Row indices of D^2-weighted centroid seeds, from the pairwise table.
 
     The first seed is uniform; each next one is drawn with probability
-    proportional to the squared distance to the nearest chosen seed.  When
-    every remaining distance is zero (all points identical) the draw falls
-    back to uniform.
+    proportional to the squared distance to the nearest chosen seed, or
+    uniformly when every such distance is zero (all points identical).
     """
     m = sq_dists.shape[0]
     seeds = [int(rng.integers(m))]
     d2 = sq_dists[seeds[0]]
-    for _ in range(1, k):
-        total = d2.sum()
+    for j in range(1, k):
+        total = np.add.reduce(d2)
         if total <= 0.0:
             idx = int(rng.integers(m))
         else:
             idx = _draw_index(d2 / total, rng)
         seeds.append(idx)
-        d2 = np.minimum(d2, sq_dists[idx])
-    return seeds
-
-
-def _assign(pts, centroids):
-    d2 = _sq_table(pts, centroids)
-    return d2.argmin(axis=1), d2.min(axis=1).sum()
+        if j + 1 < k:
+            d2 = np.minimum(d2, sq_dists[idx])
+    return np.array(seeds)
 
 
 def _seize_empty(pts, centroids, labels) -> None:
-    """Give each empty cluster the point farthest from its own centroid.
-
-    Each empty cluster seizes a distinct point; centroids and labels are
-    updated in place.
-    """
+    """Give each empty cluster a distinct point, the farthest from its own
+    centroid, updating centroids and labels in place."""
     dist_own = _row_sq(pts, centroids[labels])
     for j in range(centroids.shape[0]):
         if not (labels == j).any():
@@ -200,27 +182,23 @@ def kmeans_cluster(
     """Lloyd iterations from a K-means++ seed, minimizing the potential.
 
     The pairwise squared-distance table is computed once, or taken from
-    sq_dists, which must be _pairwise_sq of these points (run_ga passes
-    the table of a clone that mutation left unchanged): its rows weight
-    the K-means++ draws, its seed columns give the first assignment, and
-    the Clustering carries it for silhouette.  Each update takes every
-    centroid at once from per-cluster sums and member counts.  np.bincount
-    adds members in point order, as mean(axis=0) does on the 2-D points the
-    GA clusters; on 1-D points mean(axis=0) sums pairwise, so the last
-    digits there may differ from a per-cluster mean.  Stops once
-    no point is reassigned and no centroid moves further than MOVEMENT_TOL
-    (or after KMEANS_MAX_ITER iterations).  An empty cluster keeps its
-    centroid until it seizes the point currently farthest from its own
-    centroid.  Fewer than k distinct points raise ValueError.
+    sq_dists (run_ga passes a clone's unchanged table): its rows weight the
+    K-means++ draws, its seed columns give the first assignment, and the
+    Clustering carries it for silhouette.  Each update takes every centroid
+    from one np.bincount of sums, which adds members in point order as
+    mean(axis=0) does on 2-D points.  Each point's potential term is read
+    from the table at its label, the row minimum.  Stops once no point is
+    reassigned and no centroid moves further than MOVEMENT_TOL (or after
+    KMEANS_MAX_ITER iterations).  An empty cluster keeps its centroid until
+    it seizes the point farthest from its own centroid.  Fewer than k
+    distinct points raise ValueError.
 
-    An update that reassigns no point, with no cluster empty and finite
-    centroids, also ends the run when another iteration is left: that
-    iteration would rebuild the same centroids from the same labels,
-    reassign them identically and settle.  Its potential, equal to this
-    update's, is still appended, so phi_history has the length, and
-    len(phi_history) - 1 the iteration count, of the run without this stop.
-    Without the finite check a NaN centroid, whose movement test never
-    passes, would end a run that otherwise goes on to KMEANS_MAX_ITER.
+    An update that reassigns no point, with no cluster empty and a finite
+    potential, also ends the run when an iteration is left: that iteration
+    would settle on the same centroids.  Its potential is still appended,
+    so len(phi_history) - 1 is the iteration count of the run without this
+    stop.  A finite potential sums a finite distance to each centroid, so
+    every centroid is finite; a NaN centroid runs on to KMEANS_MAX_ITER.
     """
     pts = np.asarray(points, dtype=float)
     m, d = pts.shape
@@ -230,19 +208,22 @@ def kmeans_cluster(
     if sq_dists is None:
         sq_dists = _pairwise_sq(pts)
     seeds = _seed_indices(sq_dists, k, rng)
-    centroids = pts[seeds]
+    centroids = pts.take(seeds, axis=0)
     # squared distances from every point to each seed
-    seed_d2 = sq_dists[:, seeds]
+    seed_d2 = sq_dists.take(seeds, axis=1)
     labels = seed_d2.argmin(axis=1)
-    history = [seed_d2.min(axis=1).sum()]
+    # flat index of row i's entry at column j of an (m, k) table: at[i] + j
+    at = np.arange(0, m * k, k)
+    history = [np.add.reduce(seed_d2.take(at + labels))]
     coords = pts.ravel()
-    offsets = np.arange(d)
+    cols = list(pts.T[:, :, None])
+    # bins[j, c] sums coordinate c over the members of cluster j
+    bins = np.arange(k * d).reshape(k, d)
     for it in range(KMEANS_MAX_ITER):
         counts = np.bincount(labels, minlength=k)
-        # bin j * d + c sums coordinate c over the members of cluster j
-        flat = (labels[:, None] * d + offsets).ravel()
+        flat = bins.take(labels, axis=0).ravel()
         sums = np.bincount(flat, weights=coords, minlength=k * d).reshape(k, d)
-        full = counts.all()
+        full = 0 not in counts.tolist()
         if full:
             new_centroids = sums / counts[:, None]
         else:
@@ -251,23 +232,25 @@ def kmeans_cluster(
             new_centroids[filled] = sums[filled] / counts[filled, None]
             # repair empty clusters before the next assignment
             _seize_empty(pts, new_centroids, labels)
-        new_labels, phi_new = _assign(pts, new_centroids)
-        unchanged = (new_labels == labels).all()
+        table = _sq_table(pts, new_centroids, cols)
+        new_labels = table.argmin(axis=1)
+        phi_new = np.add.reduce(table.take(at + new_labels))
+        unchanged = new_labels.tobytes() == labels.tobytes()
         old_centroids = centroids
         centroids, labels = new_centroids, new_labels
         history.append(phi_new)
         if unchanged:
-            moved = np.sqrt(_row_sq(new_centroids, old_centroids)).max()
+            moved = math.sqrt(np.maximum.reduce(_row_sq(new_centroids, old_centroids)))
             if moved <= MOVEMENT_TOL:
                 break
-            if full and it + 1 < KMEANS_MAX_ITER and np.isfinite(new_centroids).all():
+            if full and it + 1 < KMEANS_MAX_ITER and math.isfinite(phi_new):
                 history.append(phi_new)  # the settling iteration's potential
                 break
-    # an assignment gives identical points one label, so fewer than k
-    # distinct points always leave a cluster empty here; with at least k,
-    # ties between centroids can starve one, and a final seize pass
-    # occupies every cluster
-    if not np.bincount(labels, minlength=k).all():
+    else:
+        full = False  # the cap ended the run: the last labels were not counted
+    # fewer than k distinct points always leave a cluster empty here; with
+    # at least k, centroid ties can starve one, and a final seize fills it
+    if not full and 0 in np.bincount(labels, minlength=k).tolist():
         distinct = len(np.unique(pts, axis=0))
         if distinct < k:
             raise ValueError(
@@ -278,7 +261,7 @@ def kmeans_cluster(
     return Clustering(
         k=k,
         centroids=centroids,
-        assignment=labels.copy(),
+        assignment=labels,
         potential=float(history[-1]),
         phi_history=[float(p) for p in history],
         points=pts,
@@ -297,37 +280,46 @@ def silhouette(clustering: Clustering) -> np.ndarray:
         raise ValueError("silhouette needs at least two clusters")
     pts = clustering.points
     labels = clustering.assignment
-    m = pts.shape[0]
     k = clustering.k
+    if pts is None:
+        raise ValueError("silhouette needs the clustering's points")
+    m = pts.shape[0]
+    if len(labels) != m:
+        raise ValueError(f"assignment has {len(labels)} labels for {m} points")
     sq_dists = clustering.sq_dists
     dist = np.sqrt(_pairwise_sq(pts) if sq_dists is None else sq_dists)
+    sizes = np.bincount(labels, minlength=k)
+    if len(sizes) > k or 0 in sizes.tolist():
+        raise ValueError(f"every cluster must be non-empty, and every label in [0, {k})")
+    own = np.arange(0, m * k, k) + labels
     onehot = np.zeros((m, k))
-    onehot[np.arange(m), labels] = 1.0
-    sizes = onehot.sum(axis=0)
-    if sizes.min() == 0:
-        raise ValueError("every cluster must be non-empty")
+    onehot.put(own, 1.0)  # own: each point's flat index at its own cluster
     # mean distance from every point to every cluster (self included)
     mean_to = dist @ onehot / sizes
-    own_size = sizes[labels]
+    own_size = sizes.take(labels)
     # a(i): own-cluster mean excluding the zero self-distance
-    a = mean_to[np.arange(m), labels] * own_size / np.maximum(own_size - 1, 1)
-    b = np.where(onehot.astype(bool), np.inf, mean_to).min(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scores = np.where(a < b, 1.0 - a / b, b / a - 1.0)
-    # singletons score 0, and so does a = b (where b / a - 1 is NaN if a = b = 0)
-    scores[(own_size == 1) | (a == b)] = 0.0
+    a = mean_to.take(own) * own_size / np.maximum(own_size - 1, 1)
+    mean_to.put(own, np.inf)
+    b = np.minimum.reduce(mean_to, axis=1)
+    # singletons score 0, and so does a = b; elsewhere 1 - a / b where a < b
+    # and b / a - 1 = -(1 - b / a) where a > b.  A zeroed score divides by 1,
+    # so a = b = 0 raises no floating-point warning.
+    zero = (own_size == 1) | (a == b)
+    big = np.maximum(a, b)
+    big[zero] = 1.0
+    scores = np.minimum(a, b)
+    scores /= big
+    np.subtract(1.0, scores, out=scores)
+    np.negative(scores, out=scores, where=a > b)
+    scores[zero] = 0.0
     return scores
 
 
 def crossover_clone_exchange(
     individual: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clone the individual twice.
-
-    Swapping slots between two identical clones leaves both equal to the
-    parent, so the children are two copies of it; only mutation makes
-    them differ.
-    """
+    """Clone the individual twice: swapping slots between two identical
+    clones leaves both equal to the parent, so only mutation makes them differ."""
     m = len(individual)
     if m >= 2:
         # the exchange's slot draw is kept although it changes nothing:
@@ -347,17 +339,19 @@ def mutate(
     sorted without building the pool.
     """
     flags = rng.random(len(individual)) < MUTATION_RATE
-    if not flags.any():
-        return np.sort(individual)
+    out = individual.copy()
+    if True not in flags.tolist():
+        out.sort()
+        return out
     used = np.zeros(len(hist), dtype=bool)
     used[individual] = True
-    pool = np.flatnonzero(~used).tolist()
-    out = individual.copy()
-    for slot in np.flatnonzero(flags):
+    pool = (~used).nonzero()[0].tolist()
+    for slot in flags.nonzero()[0]:
         if not pool:
             break
         out[slot] = pool.pop(int(rng.integers(len(pool))))
-    return np.sort(out)
+    out.sort()
+    return out
 
 
 def extract_tau(rows, bin_width: float) -> float:
@@ -371,10 +365,11 @@ def extract_tau(rows, bin_width: float) -> float:
 
     The ln 2 converts the median of an exponential decay to its mean; the
     absolute value keeps tau positive on decaying histograms where the
-    longest point carries the lowest count.  Plain Python arithmetic, so a
-    cluster of lists costs no numpy call; the running totals add in row
-    order, as a cumsum does.  Raises ValueError, DegenerateClusterError
-    among them, when the rows cannot give a lifetime.
+    longest point carries the lowest count.  Plain Python arithmetic; the
+    running totals add in row order, as a cumsum does.  Raises ValueError,
+    DegenerateClusterError among them, when the rows cannot give a lifetime
+    or hold a non-finite value (durations are checked last, so a rejected
+    degenerate cluster pays no pass for them).
     """
     try:
         rows = [(d, c) for d, c in rows]
@@ -382,27 +377,33 @@ def extract_tau(rows, bin_width: float) -> float:
         rows = []
     if len(rows) < 2:
         raise ValueError("cluster must contain at least two (duration, count) points")
-    if min(c for _, c in rows) <= 0:
-        raise ValueError("occurrence counts must be positive")
     rows.sort()
-    if rows[0][0] == rows[-1][0]:
+    durations, counts = zip(*rows)
+    if min(counts) <= 0:
+        raise ValueError("occurrence counts must be positive")
+    if durations[0] == durations[-1]:
         raise ValueError("cluster must span at least two distinct durations")
-    cum = list(itertools.accumulate(c for _, c in rows))
-    d_m, c_m = rows[bisect.bisect_left(cum, cum[-1] / 2.0)]
+    cum = list(itertools.accumulate(counts))
+    if not math.isfinite(cum[-1]):
+        raise ValueError("occurrence counts must be finite")
+    median = bisect.bisect_left(cum, cum[-1] / 2.0)
+    c_m = counts[median]
     # max-duration point; ties broken towards the higher count (sort order)
-    c_max = rows[-1][1]
+    c_max = counts[-1]
     if c_max == c_m:
         raise DegenerateClusterError(
             "median and maximum-duration counts coincide; decay rate undefined"
         )
-    return float(d_m * bin_width / (_LN2 * abs(math.log(c_max) - math.log(c_m))))
+    if not all(map(math.isfinite, durations)):
+        raise ValueError("durations must be finite")
+    return float(durations[median] * bin_width / (_LN2 * abs(math.log(c_max) - math.log(c_m))))
 
 
 def _normalize(points: np.ndarray) -> np.ndarray:
     """Min-max scale both axes to [0, 1] over the individual."""
     pts = np.asarray(points, dtype=float)
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
+    lo = np.minimum.reduce(pts)
+    span = np.maximum.reduce(pts) - lo
     span[span == 0.0] = 1.0
     return (pts - lo) / span
 
@@ -427,10 +428,11 @@ def _candidate_tau(points: np.ndarray, clustering: Clustering, bin_width: float)
             continue
     if len(taus) < 2:
         return next(iter(taus.values()), None)
-    own = np.sqrt(_row_sq(clustering.points, clustering.centroids[labels]))
-    # a per-cluster mean, not a bincount: over 8 or more members .mean()
-    # sums pairwise, and a last-bit change could reorder near-ties
-    return taus[min(taus, key=lambda j: own[labels == j].mean())]
+    own = np.sqrt(_row_sq(clustering.points, clustering.centroids.take(labels, axis=0)))
+    # per-cluster means summed pairwise, as .mean() sums 8 or more members
+    # (a bincount's order could reorder near-ties)
+    means = {j: np.add.reduce(own[labels == j]) / len(members[j]) for j in taus}
+    return taus[min(taus, key=means.__getitem__)]
 
 
 def _blend(estimates: list[float], bin_width: float) -> float:
@@ -452,32 +454,29 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     proportional to the relative distance between the individual's
     candidate lifetime and the rolling mean of previous estimates (the
     heuristic seed anchors the penalty before the first acceptance).  A
-    winner above the silhouette threshold contributes the lifetime of its
-    tightest cluster that yields one to the estimate log and the population
-    is respawned; otherwise two independently mutated clones of the winner
-    form the next generation.  A clone that mutation left equal to the
-    winner reuses its rows, normalised rows and distance table.  After
-    every K_PATIENCE consecutive sub-threshold generations the cluster
-    count steps through [2, k_hi], k_hi = min(K_MAX, subset size).
+    winner above the silhouette threshold adds the lifetime of its tightest
+    cluster that yields one to the estimate log and the population is
+    respawned; otherwise two mutated clones of the winner form the next
+    generation, and one that mutation left unchanged reuses the winner's
+    rows and distance table.  After every K_PATIENCE sub-threshold
+    generations the cluster count steps through [2, k_hi], k_hi =
+    min(K_MAX, subset size).
 
     diagnostics["termination"] names how the run ended:
 
     - "stability": the last ROLLING_WINDOW accepted estimates agree to
       STABILITY_REL_TOL; the result is their median.
     - "patience": K_PATIENCE * (k_hi - 1) generations in a row accepted
-      nothing, so every cluster count in [2, k_hi] has had its K_PATIENCE
-      generations since the last acceptance; the result is the blended
-      estimate log.
+      nothing, K_PATIENCE at every cluster count; the result is the
+      blended estimate log.
     - "max_iterations": config.max_iterations generations ran; the result
       is the blended estimate log.
 
     The result is always clamped to config.tau_range.  std_err is the
     standard error of the stable window, or of the estimate log on a
-    blend; it is NaN when nothing was accepted, since the heuristic seed
-    alone carries no spread.  converged stays True on such a fallback:
-    diagnostics["accepted"] == 0 already marks it, and False would blank
-    most GA cells on 2 s traces, where most runs accept nothing, and with
-    them the duration at which acceptance criterion 4 compares precision.
+    blend; it is NaN when nothing was accepted.  converged stays True on
+    such a fallback, which diagnostics["accepted"] == 0 marks: False would
+    blank most GA cells on 2 s traces, where most runs accept nothing.
     """
     generator = np.random.default_rng(rng)
     m = len(hist)
@@ -488,8 +487,7 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
         )
     lo, hi = config.tau_range
     # The heuristic seeds the estimate log: it anchors the elitism penalty
-    # from the first generation and keeps the blend defined when clusters
-    # are too count-degenerate to extract from (scarce-data regime).
+    # and keeps the blend defined when no cluster yields a lifetime.
     tau0 = heuristic_estimate(hist, config.tau_range)
     estimates: list[float] = [tau0]
     log_rows: list[tuple[int, float, float, int]] = []
@@ -504,33 +502,35 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
     tau_final = None
     std_err = float("nan")
 
-    # the last winner's indices, rows, normalised rows and distance table,
-    # reused by a clone that mutation left unchanged
+    # the last winner's index bytes, rows, normalised rows and table
     last_winner = None
+    ref = tau0  # the elitism reference: the mean of the last estimates
 
     for iteration in range(config.max_iterations):
         scored = []
         for ind in individuals:
-            if last_winner is not None and (ind == last_winner[0]).all():
+            if last_winner is not None and ind.tobytes() == last_winner[0]:
                 _, points, normed, table = last_winner
             else:
-                points = pairs[ind]
+                points = pairs.take(ind, axis=0)
                 normed, table = _normalize(points), None
             clustering = kmeans_cluster(normed, k, generator, sq_dists=table)
-            sil = float(silhouette(clustering).mean())
+            values = silhouette(clustering)
+            sil = float(np.add.reduce(values) / values.size)  # .mean()
             tau_c = _candidate_tau(points, clustering, hist.bin_width)
             if tau_c is None:
-                # no usable cluster: worst-case penalty keeps such solutions
-                # from outcompeting extractable ones
+                # worst-case penalty: no usable cluster never beats one
                 score = sil - ELITISM_PENALTY_WEIGHT
             else:
-                ref = float(np.mean(estimates[-ROLLING_WINDOW :]))
                 score = sil - ELITISM_PENALTY_WEIGHT * abs(tau_c - ref) / ref
             scored.append((score, sil, tau_c, ind, points, clustering))
-        score, sil, tau_c, winner, points, clustering = max(scored, key=lambda s: s[0])
+        first, second = scored  # the first of equal scores wins, as in max()
+        best = second if second[0] > first[0] else first
+        score, sil, tau_c, winner, points, clustering = best
 
         if score > SILHOUETTE_THRESHOLD and tau_c is not None:
             estimates.append(tau_c)
+            ref = float(np.mean(estimates[-ROLLING_WINDOW:]))
             log_rows.append((iteration, tau_c, sil, k))
             drought = 0
             if len(estimates) >= ROLLING_WINDOW:
@@ -548,7 +548,7 @@ def run_ga(hist: DwellHistogram, config: GaConfig, rng=None) -> RateEstimate:
             if drought == patience:
                 termination = "patience"
                 break
-            last_winner = (winner, points, clustering.points, clustering.sq_dists)
+            last_winner = (winner.tobytes(), points, clustering.points, clustering.sq_dists)
             child_a, child_b = crossover_clone_exchange(winner, generator)
             individuals = [
                 mutate(child_a, hist, generator),

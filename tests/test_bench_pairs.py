@@ -5,7 +5,8 @@ are pinned here: the direction a metric's `better` sets, the 9-of-10
 pair count, a median gap against the parent's interquartile range, the
 bound itself, and a parent spread too wide for the bound to settle.  The
 traced per-layer runs, and the verdict line that main prints last, are
-checked with perfbench stubbed out, and so are the import timings.
+checked with perfbench stubbed out, and so are the import and compile
+timings.
 """
 
 import ast
@@ -204,8 +205,8 @@ class TestImportTimes:
         assert out["parent"].pop("runs") == [0.5, 0.1, 0.3, 0.2, 0.4]
         assert out["parent"] == pytest.approx({"median": 0.3, "q1": 0.2, "q3": 0.4})
         assert out["change"]["median"] == pytest.approx(0.15)
-        assert tool.import_line(out) == ("import_s: parent 0.3000 s (0.2000-0.4000), "
-                                         "change 0.1500 s (0.1000-0.2000)")
+        assert tool.times_line("import_s", out) == ("import_s: parent 0.3000 s (0.2000-0.4000), "
+                                                    "change 0.1500 s (0.1000-0.2000)")
 
     def test_main_records_import_times(self, tool, monkeypatch, tmp_path):
         def fake_run_once(checkout, workload, seed, seconds, trace=0):
@@ -217,11 +218,42 @@ class TestImportTimes:
         monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
         out = tmp_path / "bench.json"
         assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
-        import_s = json.loads(out.read_text())["import_s"]
-        assert list(import_s) == ["parent", "change"]
+        report = json.loads(out.read_text())
+        import_s = report["import_s"]
+        assert list(import_s) == ["parent", "change"] == list(report["compile_s"])
         for side in import_s.values():
             assert side["runs"] == [0.1] * tool.IMPORT_RUNS
             assert side["median"] == side["q1"] == side["q3"] == 0.1
+
+
+class TestCompileTimes:
+    def test_alternating_compiles_of_each_sides_sources(self, tool, monkeypatch, tmp_path):
+        for side, modules in (("p", ["a", "b"]), ("c", ["a", "b", "c"])):
+            package = tmp_path / side / "src" / "blinkfit"
+            package.mkdir(parents=True)
+            for name in modules:
+                (package / f"{name}.py").write_text(f"x = {name!r}\n")
+        (tmp_path / "c" / "src" / "blinkfit" / "notes.txt").write_text("not python")
+        compiled = []
+
+        def fake_compile(source, path, mode, dont_inherit):
+            compiled.append((Path(path).parents[2].name, Path(path).name, mode, dont_inherit))
+
+        ticks = iter(range(100))
+        monkeypatch.setattr(tool, "compile", fake_compile, raising=False)
+        monkeypatch.setattr(tool.time, "perf_counter", lambda: next(ticks))
+        out = tool.compile_times({"parent": tmp_path / "p", "change": tmp_path / "c"}, runs=3)
+        run = [("p", "a.py"), ("p", "b.py"), ("c", "a.py"), ("c", "b.py"), ("c", "c.py")]
+        order = run + run[2:] + run[:2] + run
+        assert compiled == [(side, name, "exec", True) for side, name in order]
+        # perf_counter ticks once before and once after each side's compiles
+        assert out["parent"].pop("runs") == [1, 1, 1]
+        assert out["change"]["median"] == 1
+        assert tool.times_line("compile_s", out).startswith("compile_s: parent 1.0000 s")
+
+    def test_compiles_this_checkouts_sources(self, tool):
+        out = tool.compile_times({"change": ROOT}, runs=2)
+        assert min(out["change"]["runs"]) > 0
 
 
 class TestCountersDiffer:
@@ -288,9 +320,10 @@ class TestVerdictLine:
         monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
         out = tmp_path / "bench.json"
         assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
-        *_, imports, last = capsys.readouterr().out.splitlines()
+        *_, imports, compiles, last = capsys.readouterr().out.splitlines()
         assert imports == ("import_s: parent 0.1000 s (0.1000-0.1000), "
                            "change 0.1000 s (0.1000-0.1000)")
+        assert compiles.startswith("compile_s: parent ")
         assert last == ("verdict: out of bound: long-lm op_p90_s; unresolved: none; "
                         "gain: trace-files setup_s; not all correct: sweep-2s; "
                         "results_hashes_equal: true; counters differ: none")

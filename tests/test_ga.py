@@ -279,6 +279,20 @@ class TestSilhouette:
         with pytest.raises(ValueError):
             silhouette(clustering)
 
+    def test_malformed_clusterings_raise_value_error(self):
+        pts = np.array([[0.0, 0.0], [0.1, 0.0], [1.0, 1.0], [1.1, 1.0]])
+        labels = np.array([0, 0, 1, 1])
+        cases = [
+            Clustering(k=2, centroids=np.zeros((2, 2)), assignment=labels, potential=0.0),
+            Clustering(k=2, centroids=np.zeros((2, 2)), assignment=labels[:3],
+                       potential=0.0, points=pts),
+            Clustering(k=2, centroids=np.zeros((2, 2)), assignment=np.array([0, 0, 1, 2]),
+                       potential=0.0, points=pts),
+        ]
+        for clustering in cases:
+            with pytest.raises(ValueError):
+                silhouette(clustering)
+
 
 def flagged_slots(size, seed):
     """How many slots mutate flags: its first draw, replayed."""
@@ -374,6 +388,21 @@ class TestExtractTau:
     def test_positive_counts_required(self):
         with pytest.raises(ValueError):
             extract_tau(np.array([[3.0, 0.0], [5.0, 2.0]]), 1e-3)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, math.nan], [2, 3]],
+            [[1, 5], [2, math.nan], [3, 1]],
+            [[1, math.inf], [2, 3]],
+            [[1, 5], [math.nan, 2], [3, 1]],
+            [[1, 9], [2, 4], [math.inf, 1]],
+            np.array([[1.0, 9.0], [np.nan, 4.0], [3.0, 1.0]]),
+        ],
+    )
+    def test_non_finite_values_refused(self, rows):
+        with pytest.raises(ValueError, match="finite"):
+            extract_tau(rows, 1e-3)
 
     @pytest.mark.parametrize(
         "rows",

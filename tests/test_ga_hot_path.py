@@ -19,10 +19,17 @@ _row_sq) rather than reduced with .sum over an (m, n, d) temporary, and
 run_ga hands the winner's table to a clone that mutation left unchanged;
 ref_table and the reference loops below keep the reduce and recompute
 every table.
+
+silhouette takes its cluster sizes from np.bincount and forms each score
+as +-(1 - min(a, b) / max(a, b)) without np.errstate; ref_silhouette is
+the earlier np.where form, and the two must agree bit for bit with every
+warning made an error.  TestCallPattern pins the per-clustering calls
+through the ga module attributes that perfbench's probe counts.
 """
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +168,33 @@ def ref_mutate(individual, hist, rng):
             break
         out[slot] = pool.pop(int(rng.integers(len(pool))))
     return np.sort(out)
+
+
+def ref_silhouette(clustering):
+    if clustering.k < 2:
+        raise ValueError("silhouette needs at least two clusters")
+    pts = clustering.points
+    labels = clustering.assignment
+    m = pts.shape[0]
+    k = clustering.k
+    sq_dists = clustering.sq_dists
+    dist = np.sqrt(ga._pairwise_sq(pts) if sq_dists is None else sq_dists)
+    onehot = np.zeros((m, k))
+    onehot[np.arange(m), labels] = 1.0
+    sizes = onehot.sum(axis=0)
+    if sizes.min() == 0:
+        raise ValueError("every cluster must be non-empty")
+    # mean distance from every point to every cluster (self included)
+    mean_to = dist @ onehot / sizes
+    own_size = sizes[labels]
+    # a(i): own-cluster mean excluding the zero self-distance
+    a = mean_to[np.arange(m), labels] * own_size / np.maximum(own_size - 1, 1)
+    b = np.where(onehot.astype(bool), np.inf, mean_to).min(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scores = np.where(a < b, 1.0 - a / b, b / a - 1.0)
+    # singletons score 0, and so does a = b (where b / a - 1 is NaN if a = b = 0)
+    scores[(own_size == 1) | (a == b)] = 0.0
+    return scores
 
 
 def ref_table(a, b):
@@ -331,6 +365,68 @@ class TestTableReuse:
         for a, b in zip(new, ref):
             assert (a.tau_hat, a.diagnostics) == (b.tau_hat, b.diagnostics)
             assert a.std_err == b.std_err or math.isnan(a.std_err) and math.isnan(b.std_err)
+
+
+class TestSilhouette:
+    def test_matches_reference(self):
+        # singleton clusters and a = b = 0 both occur; no warning may leak
+        rng = np.random.default_rng(9)
+        singletons = both_zero = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(1500):
+                if seed % 2:
+                    points, distinct = duplicate_points(rng)
+                    points = _normalize(points)
+                    k = int(rng.integers(2, min(distinct, ga.K_MAX) + 1))
+                    clustering = kmeans_cluster(points, k, np.random.default_rng(seed))
+                    twins = np.flatnonzero((points == points[0]).all(axis=1))
+                    if seed % 3 == 0 and len(twins) >= 4:
+                        # two copies of a point in each of clusters 0 and 1 and
+                        # the rest in cluster 2: those copies have a = b = 0
+                        labels = np.full(len(points), 2)
+                        labels[twins[:2]] = 0
+                        labels[twins[2:4]] = 1
+                        clustering = ga.Clustering(3, None, labels, 0.0, points=points)
+                        both_zero += 1
+                else:
+                    points = _normalize(ga_like_points(rng))
+                    k = int(rng.integers(2, min(ga.K_MAX, len(points)) + 1))
+                    clustering = kmeans_cluster(points, k, np.random.default_rng(seed))
+                new, ref = silhouette(clustering), ref_silhouette(clustering)
+                assert same_bits(new, ref)
+                sizes = np.bincount(clustering.assignment, minlength=clustering.k)
+                singletons += bool((sizes == 1).any())
+        assert singletons > 100 and both_zero > 10
+
+
+class TestCallPattern:
+    def test_probe_counts_follow_the_generations(self, monkeypatch):
+        # perfbench's probe derives ga.generations and ga.extract_tau.rejected
+        # from calls through these module attributes
+        calls = {"kmeans_cluster": 0, "silhouette": 0, "extract_tau": 0, "k_sum": 0}
+        originals = {name: getattr(ga, name)
+                     for name in ("kmeans_cluster", "silhouette", "extract_tau")}
+
+        def counting(name):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                result = originals[name](*args, **kwargs)
+                if name == "kmeans_cluster":
+                    calls["k_sum"] += result.k
+                return result
+            return wrapped
+
+        for name in originals:
+            monkeypatch.setattr(ga, name, counting(name))
+        model = EmitterModel(tau_on=15e-3, tau_off=45e-3)
+        trace = generate_trace(model, 2.0, 1e-3, "poisson", rng=1001)
+        hists = dwell_histogram(binarize(trace, auto_threshold(trace)))
+        config = GaConfig(tau_range=(1e-3, 100e-3))
+        iterations = sum(run_ga(hist, config, rng=seed).diagnostics["iterations"]
+                         for seed, hist in enumerate(hists))
+        assert calls["kmeans_cluster"] == calls["silhouette"] == 2 * iterations > 0
+        assert calls["extract_tau"] == calls["k_sum"]
 
 
 class TestExtractTau:

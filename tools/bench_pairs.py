@@ -17,14 +17,19 @@ Then `import blinkfit.cli` is timed in IMPORT_RUNS fresh interpreters per
 side, the sides alternating, with the child perfbench times for it: on a
 workload whose set-up does nothing else, `setup_s` is that import, so
 these times tell an import regression apart from the set-up spread.
+Without cached bytecode (PYTHONDONTWRITEBYTECODE=1) that import compiles
+every module, so `compile()` of every `src/blinkfit/*.py` is also timed,
+COMPILE_RUNS times per side in this process, the sides alternating: it
+shows whether a source change moved the import's compile step.
 Runs are sequential, one process at a time.
 
 The JSON written holds every run's end-to-end metrics, `correct`,
 `attempted` and `failed`; per workload and side the median and quartiles
 of each metric; the pairs the change won; the hash lines; the traced
-runs under `per_layer[workload][side]`; the import times under
-`import_s[side]`, with their median and quartiles; and the machine facts
-the runs printed.  Per workload and metric it also judges the untraced runs:
+runs under `per_layer[workload][side]`; the import and compile times
+under `import_s[side]` and `compile_s[side]`, with their medians and
+quartiles; and the machine facts the runs printed.  Per workload and
+metric it also judges the untraced runs:
 
 - `gain`: the change won at least 9 of 10 pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -40,7 +45,7 @@ BENCHMARK.json gives a count or ratio unit must read the same on both
 sides of a workload, as it does for a change that leaves the output
 bit-exact.  Those that differ are listed under `counters_differ`.
 
-The import times' medians and quartiles are printed next, and the last
+The import and compile times' medians and quartiles are printed next, and the last
 line printed is the verdict: every (workload, metric) out of
 its bound, unresolved or with a gain, every workload whose runs were not
 all correct or gave no metrics, whether the hashes are equal, and every
@@ -59,12 +64,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(101, 111)  # one alternating pair per seed and workload
 HASH_SEEDS = (1, 2, 3)
 IMPORT_RUNS = 21  # fresh interpreters per side
+COMPILE_RUNS = 21  # compiles of the package's sources per side
 # perfbench/run.py's _IMPORT_CHILD: argv[1] is the checkout's src directory
 IMPORT_CHILD = (
     "import sys, time; sys.path.insert(0, sys.argv[1]); "
@@ -135,9 +142,30 @@ def import_times(checkouts: dict, runs: int = IMPORT_RUNS) -> dict:
     return {side: dict(quartiles(values), runs=values) for side, values in times.items()}
 
 
-def import_line(import_s: dict) -> str:
-    return "import_s: " + ", ".join(
-        f"{side} {q['median']:.4f} s ({q['q1']:.4f}-{q['q3']:.4f})" for side, q in import_s.items()
+def compile_times(checkouts: dict, runs: int = COMPILE_RUNS) -> dict:
+    """Seconds to compile() every src/blinkfit/*.py, runs times per side.
+
+    The sources are read once; each run compiles all of a side's files as
+    an import does (dont_inherit, so this script's future flags do not
+    leak in).  The side that goes first alternates from run to run, and
+    each side gets its times under "runs", with their median and quartiles.
+    """
+    sources = {side: [(str(path), path.read_text())
+                      for path in sorted((checkout / "src" / "blinkfit").glob("*.py"))]
+               for side, checkout in checkouts.items()}
+    times = {side: [] for side in checkouts}
+    for i in range(runs):
+        for side in list(checkouts)[:: 1 if i % 2 == 0 else -1]:
+            start = time.perf_counter()
+            for path, text in sources[side]:
+                compile(text, path, "exec", dont_inherit=True)
+            times[side].append(time.perf_counter() - start)
+    return {side: dict(quartiles(values), runs=values) for side, values in times.items()}
+
+
+def times_line(name: str, times: dict) -> str:
+    return f"{name}: " + ", ".join(
+        f"{side} {q['median']:.4f} s ({q['q1']:.4f}-{q['q3']:.4f})" for side, q in times.items()
     )
 
 
@@ -260,12 +288,14 @@ def main(argv=None) -> int:
                 report.setdefault("machine", run.get("machine"))
         report["per_layer"] = per_layer(checkouts, workloads, SEEDS[0])
         report["import_s"] = import_times(checkouts)
+        report["compile_s"] = compile_times(checkouts)
     report["results_hashes"] = hashes
     report["results_hashes_equal"] = hashes["parent"] == hashes["change"]
     counters = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "ratio")]
     report["counters_differ"] = counters_differ(report["per_layer"], counters)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(import_line(report["import_s"]))
+    print(times_line("import_s", report["import_s"]))
+    print(times_line("compile_s", report["compile_s"]))
     print(verdict_line(report))
     return 0
 
