@@ -274,7 +274,7 @@ def silhouette(clustering: Clustering) -> np.ndarray:
 
     s(i) compares the mean distance to the point's own cluster a(i) with
     the smallest mean distance to another cluster b(i); points in singleton
-    clusters score 0.
+    clusters score 0.  A clustering it cannot score raises ValueError.
     """
     if clustering.k < 2:
         raise ValueError("silhouette needs at least two clusters")
