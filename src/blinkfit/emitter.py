@@ -231,7 +231,6 @@ _CHUNK_ROWS = 2048
 _EXACT_INT = 2.0**53  # below this, float64 -> int64 is exact
 _SHORT_INT = 2**52  # for n below this, one ulp of n / 10**p is less than 10**-p
 _LEADING_SPACE = re.compile(r"\s*")  # \s is what str.strip() strips
-_MINUS_CHECKS = 1000  # "-" bytes _signed_counts looks at before it answers True
 
 
 def _int_texts(values: np.ndarray, fmt: str) -> list[str]:
@@ -358,8 +357,9 @@ def write_trace(trace: BlinkTrace, path) -> None:
 def _read_sidecar(sidecar: Path) -> dict:
     """Load a trace's JSON sidecar; the errors below name the file.
 
-    bin_width_s must hold a positive finite number, the other numeric keys a
-    number or null.
+    bin_width_s must hold a positive finite number, mean_on_counts and
+    mean_off_counts a number where present (write_trace never writes null
+    there), and tau_on_s and tau_off_s a number or null.
     """
     try:
         meta = json.loads(sidecar.read_text())
@@ -370,7 +370,9 @@ def _read_sidecar(sidecar: Path) -> dict:
     if meta.get("bin_width_s") is None:
         raise ValueError(f"sidecar {sidecar} lacks bin_width_s")
     for key in ("bin_width_s", "mean_on_counts", "mean_off_counts", "tau_on_s", "tau_off_s"):
-        if meta.get(key) is not None and type(meta[key]) not in (int, float):
+        if key in meta and type(meta[key]) not in (int, float) and (
+            meta[key] is not None or not key.startswith("tau_")
+        ):
             raise ValueError(f"sidecar {sidecar}: {key} must be a number, got {meta[key]!r}")
     width = meta["bin_width_s"]
     if not 0 < width < np.inf:  # also NaN and Infinity, which json.loads accepts
@@ -389,10 +391,10 @@ def _bulk_counts(path: Path, rows: int, signed: bool) -> np.ndarray | None:
     valid row; it is left to _scan_rows, where loadtxt would only warn of
     empty input.
 
-    A file without a "-" in a count cell (signed False, see
-    _signed_counts) is parsed as int64 first, which is faster; every
-    Poisson trace that write_trace writes is such a file, including one at
-    a bin width under 1e-4 s, whose times like 5e-05 hold a "-".
+    A file without a "-" (signed False) is parsed as int64 first, which is
+    faster; a Poisson trace that write_trace writes at a bin width of
+    1e-4 s or more is such a file.  Any "-", a time like 5e-05 included,
+    sends the file to the float64 pass, which reads the same counts.
     Every cell that pass accepts is decimal digits below 2**63, with at
     most a "+" and surrounding whitespace, and BlinkTrace's int64 -> float64
     cast rounds to nearest even as the correctly rounded decimal parse
@@ -420,28 +422,6 @@ def _bulk_counts(path: Path, rows: int, signed: bool) -> np.ndarray | None:
             continue
         return counts if counts.size == rows else None
     return None
-
-
-def _signed_counts(data: bytes) -> bool:
-    """Whether a "-" in the file's bytes follows a comma on its line.
-
-    np.loadtxt reads the count after a line's first comma, so only such a
-    "-" can sign a count; one in a time cell, like the "5e-05" of a bin
-    width under 1e-4 s, cannot.  Lines end at LF or CR, as universal
-    newlines ends them.  Each "-" is checked against the last comma before
-    it, from the first "-" on; after _MINUS_CHECKS of them in time cells
-    the answer is True, which only sends the file to the float64 pass.
-    """
-    minus = data.find(b"-")
-    for _ in range(_MINUS_CHECKS):
-        if minus < 0:
-            return False
-        comma = data.rfind(b",", 0, minus)
-        between = data[comma:minus]
-        if comma >= 0 and b"\n" not in between and b"\r" not in between:
-            return True
-        minus = data.find(b"-", minus + 1)
-    return True
 
 
 def _scan_rows(path: Path) -> list[float]:
@@ -519,16 +499,15 @@ def read_trace(path) -> BlinkTrace:
     (_read_text), for the header and the first and last rows.  Bytes that
     encoding cannot decode raise ValueError naming the line, counted as
     universal newlines count it, and keeping the codec's message; the data's
-    commas are counted on the bytes, and so is whether a "-" follows a
-    comma on its line (_signed_counts).  Both buffers are dropped before
-    np.loadtxt parses the counts (_bulk_counts): as int64 first when no
-    count cell holds a "-", since a "-0" count must read as -0.0, then as
-    float64 if that pass is skipped or refuses.  Only a file both refuse,
-    that fails the field check, or that holds a non-finite count, is
-    scanned row by row (_scan_rows): the scan names the line at fault, or
-    reads the rows as float() does where loadtxt is stricter
-    (whitespace-only lines, digit separators).  A non-finite count is thus
-    refused before the sidecar is read.
+    commas are counted on the bytes, and so is whether the file holds a "-".
+    Both buffers are dropped before np.loadtxt parses the counts
+    (_bulk_counts): as int64 first when the file holds no "-", since a "-0"
+    count must read as -0.0, then as float64 if that pass is skipped or
+    refuses.  Only a file both refuse, that fails the field check, or that
+    holds a non-finite count, is scanned row by row (_scan_rows): the scan
+    names the line at fault, or reads the rows as float() does where
+    loadtxt is stricter (whitespace-only lines, digit separators).  A
+    non-finite count is thus refused before the sidecar is read.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -545,7 +524,7 @@ def read_trace(path) -> BlinkTrace:
         raise ValueError(f"unexpected trace header {header!r} in {path}")
     # the header's one comma; a comma byte is a comma in any ASCII-based encoding
     rows = np.count_nonzero(np.frombuffer(data, np.uint8) == ord(",")) - 1
-    signed = _signed_counts(data)
+    signed = b"-" in data
     edges = _edge_rows(text, start)
     del data, text
     counts = _bulk_counts(path, rows, signed)

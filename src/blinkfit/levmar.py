@@ -41,9 +41,9 @@ def lm_solve(residual_fn, jacobian_fn, x0):
     when MAX_ITER iterations have run.
 
     Returns (params, covariance, diagnostics) where covariance is the
-    residual-variance-scaled inverse of J^T J at the solution and
-    diagnostics records iterations, accepted steps, final cost and the
-    converged flag.
+    residual-variance-scaled inverse of J^T J at the solution, all NaN
+    where np.linalg.inv fails, and diagnostics records iterations, accepted
+    steps, final cost and the converged flag.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual_fn(x), dtype=float)
@@ -98,7 +98,7 @@ def lm_solve(residual_fn, jacobian_fn, x0):
     try:
         cov = np.linalg.inv(jtj) * (cost / dof)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jtj) * (cost / dof)
+        cov = np.full_like(jtj, np.nan)
     diagnostics = {
         "iterations": iterations,
         "accepted": accepted,
@@ -119,8 +119,9 @@ def fit_exponential(density: EmpiricalDensity) -> RateEstimate:
 
     The start point is y0 = min density, A = max - min and tau = the
     density-weighted mean dwell.  The returned estimate carries the
-    standard error from the scaled inverse approximate Hessian and the
-    optimizer diagnostics.  converged is False when the iteration budget was
+    standard error from the scaled inverse approximate Hessian (NaN where
+    its tau entry is not positive and finite) and the optimizer
+    diagnostics.  converged is False when the iteration budget was
     exhausted, or when tau falls outside (0, LM_TAU_SANITY_FACTOR x the
     start tau): such a fit also records diagnostics["sanity_rejected"] =
     True and keeps the optimizer's own "converged" and "reason".
@@ -144,7 +145,7 @@ def fit_exponential(density: EmpiricalDensity) -> RateEstimate:
     x0 = [float(d.min()), float(d.max() - d.min()), tau0]
     params, cov, diag = lm_solve(residual, jacobian, x0)
     tau_hat = float(params[2])
-    tau_err = float(np.sqrt(max(cov[2, 2], 0.0)))
+    tau_err = float(np.sqrt(cov[2, 2])) if 0.0 < cov[2, 2] < np.inf else float("nan")
     diag.update({"y0": float(params[0]), "A": float(params[1]), "tau_init": tau0})
     converged = bool(diag["converged"])
     if not (0.0 < tau_hat < LM_TAU_SANITY_FACTOR * tau0):

@@ -6,12 +6,13 @@ pair count, a median gap against the parent's interquartile range, the
 bound itself, and a parent spread too wide for the bound to settle.  The
 traced per-layer runs, and the verdict line that main prints last, are
 checked with perfbench stubbed out, and so are the import and compile
-timings.
+timings and the source line counts.
 """
 
 import ast
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,8 @@ class TestImportTimes:
         for side in import_s.values():
             assert side["runs"] == [0.1] * tool.IMPORT_RUNS
             assert side["median"] == side["q1"] == side["q3"] == 0.1
+        assert report["source_lines"] == {"parent": {"modules": {}, "total": 0},
+                                          **tool.source_lines({"change": ROOT})}
 
 
 class TestCompileTimes:
@@ -254,6 +257,27 @@ class TestCompileTimes:
     def test_compiles_this_checkouts_sources(self, tool):
         out = tool.compile_times({"change": ROOT}, runs=2)
         assert min(out["change"]["runs"]) > 0
+
+
+class TestSourceLines:
+    def test_counts_newlines_of_each_sides_modules(self, tool, tmp_path):
+        package = tmp_path / "c" / "src" / "blinkfit"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n\ny = 2\n")
+        (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+        (package / "notes.txt").write_text("not\npython\n")
+        out = tool.source_lines({"parent": tmp_path / "p", "change": tmp_path / "c"})
+        assert out == {"parent": {"modules": {}, "total": 0},
+                       "change": {"modules": {"a.py": 3, "b.py": 0}, "total": 3}}
+
+    def test_matches_wc_on_this_checkout(self, tool):
+        paths = sorted((ROOT / "src" / "blinkfit").glob("*.py"))
+        wc = subprocess.run(["wc", "-l", *map(str, paths)], capture_output=True, text=True,
+                            check=True).stdout.split()
+        out = tool.source_lines({"change": ROOT})["change"]
+        assert out["modules"] == {Path(name).name: int(n)
+                                  for n, name in zip(wc[0::2], wc[1::2]) if name != "total"}
+        assert out["total"] == int(wc[-2])
 
 
 class TestCountersDiffer:
@@ -320,10 +344,12 @@ class TestVerdictLine:
         monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
         out = tmp_path / "bench.json"
         assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
-        *_, imports, compiles, last = capsys.readouterr().out.splitlines()
+        *_, imports, compiles, lines, last = capsys.readouterr().out.splitlines()
         assert imports == ("import_s: parent 0.1000 s (0.1000-0.1000), "
                            "change 0.1000 s (0.1000-0.1000)")
         assert compiles.startswith("compile_s: parent ")
+        total = tool.source_lines({"change": ROOT})["change"]["total"]
+        assert lines == f"source_lines: parent 0, change {total}"
         assert last == ("verdict: out of bound: long-lm op_p90_s; unresolved: none; "
                         "gain: trace-files setup_s; not all correct: sweep-2s; "
                         "results_hashes_equal: true; counters differ: none")

@@ -237,6 +237,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "t.json" in err and "bin_width_s" in err
 
+    def test_null_mean_count_in_sidecar(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("t_s,counts\n0.0,5\n0.001,7\n")
+        trace.with_suffix(".json").write_text('{"bin_width_s": 0.001, "mean_on_counts": null}')
+        assert run(["analyze", "--trace", str(trace), "--method", "lm"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: sidecar {trace.with_suffix('.json')}: "
+                                    "mean_on_counts must be a number, got None"]
+
     def test_ga_deterministic_report(self, tmp_path, capsys):
         trace = tmp_path / "short.csv"
         assert run(["simulate", "--duration", "5s", "--seed", "2", "--out", str(trace)]) == 0

@@ -12,7 +12,6 @@ import pytest
 from blinkfit import emitter
 from blinkfit.dwell import binarize
 from blinkfit.emitter import (
-    _MINUS_CHECKS,
     DEFAULT_MEAN_OFF_COUNTS,
     DEFAULT_MEAN_ON_COUNTS,
     BlinkTrace,
@@ -20,7 +19,6 @@ from blinkfit.emitter import (
     _draw_dwells,
     _read_sidecar,
     _scan_rows,
-    _signed_counts,
     generate_trace,
     read_trace,
     write_trace,
@@ -451,6 +449,8 @@ class TestTraceIO:
             ('{"bin_width_s": NaN}', "bin_width_s must be positive"),
             ('{"bin_width_s": Infinity}', "bin_width_s must be positive and finite"),
             ('{"bin_width_s": 0\n', "not valid JSON"),
+            ({"bin_width_s": 1e-3, "mean_on_counts": None}, "mean_on_counts must be a number"),
+            ({"bin_width_s": 1e-3, "mean_off_counts": None}, "mean_off_counts must be a number"),
         ],
         ids=[
             "missing-bin-width",
@@ -460,6 +460,8 @@ class TestTraceIO:
             "nan-bin-width",
             "infinite-bin-width",
             "malformed",
+            "null-mean-on-counts",
+            "null-mean-off-counts",
         ],
     )
     def test_bad_sidecar_named(self, tmp_path, sidecar, message):
@@ -470,6 +472,15 @@ class TestTraceIO:
         with pytest.raises(ValueError, match=message) as info:
             read_trace(path)
         assert str(path.with_suffix(".json")) in str(info.value)
+
+    def test_missing_mean_counts_take_defaults(self, tmp_path):
+        # null is refused there (test_bad_sidecar_named), but a missing key is not
+        path = tmp_path / "trace.csv"
+        path.write_text("t_s,counts\n0.0,1\n0.001,2\n")
+        path.with_suffix(".json").write_text(json.dumps({"bin_width_s": 1e-3, "tau_on_s": None}))
+        trace = read_trace(path)
+        assert (trace.mean_on_counts, trace.mean_off_counts, trace.truth) == (
+            DEFAULT_MEAN_ON_COUNTS, DEFAULT_MEAN_OFF_COUNTS, None)
 
     def test_numpy_bin_width_roundtrips(self, tmp_path):
         # a numpy bin width once wrote t_s cells such as np.float64(0.001),
@@ -864,7 +875,7 @@ class TestReadTraceOracle:
 
     def test_int_pass_reads_poisson_files(self, tmp_path, monkeypatch):
         # a --noise none trace has fractional counts where a bin straddles a switch;
-        # at 5e-5 s the second time is 5e-05, a "-" in no count
+        # at 5e-5 s the second time is 5e-05, whose "-" skips the int64 pass
         paths = {}
         for name, noise, bin_width in [("poisson", "poisson", 1e-3), ("none", None, 1e-3),
                                        ("5e-5", "poisson", 5e-5)]:
@@ -879,29 +890,10 @@ class TestReadTraceOracle:
         calls = record_loadtxt(monkeypatch)
         for name, passes in [("poisson", [(np.int64, True)]),
                              ("none", [(np.int64, False), (float, True)]),
-                             ("5e-5", [(np.int64, True)]),
+                             ("5e-5", [(float, True)]),
                              ("minus", [(float, True)])]:
             calls.clear()
             assert read_outcome(read_trace, paths[name]) == expected[name], name
             assert calls == passes, name
         assert np.frombuffer(expected["none"][0]).round().tobytes() != expected["none"][0]
         assert np.signbit(np.frombuffer(expected["minus"][0])).tolist() == [False, True, False]
-
-    @pytest.mark.parametrize(
-        "data, signed",
-        [
-            (b"t_s,counts\n0.0,3\n5e-05,4\n", False),
-            (b"t_s,counts\r\n0.0,3\r\n5e-05,4\r\n", False),
-            (b"t_s,counts\r0.0,3\r5e-05,4\r", False),  # a lone CR ends a line too
-            (b"t_s,counts\n-0.0,3\n", False),
-            (b"t_s,counts\n0.0,3\n5e-05,-0\n", True),
-            (b"t_s,counts\r0.0,3\r5e-05,-0", True),
-            (b"t_s,counts\n0.0,3,-2\n", True),  # a later field, which loadtxt ignores
-            (b"t_s,counts\n" + b"1e-05,3\n" * (_MINUS_CHECKS - 1) + b"0.001,-4\n", True),
-            (b"t_s,counts\n" + b"1e-05,3\n" * _MINUS_CHECKS, True),  # too many to look at
-            (b"t_s,counts\n" + b"1e-05,3\n" * (_MINUS_CHECKS - 1), False),
-            (b"t_s,counts\n0.0,3\n", False),
-        ],
-    )
-    def test_signed_counts(self, data, signed):
-        assert _signed_counts(data) is signed

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from blinkfit.bench import default_scenario, run_trial
 from blinkfit.dwell import (
+    DwellHistogram,
     EmpiricalDensity,
     auto_threshold,
     binarize,
@@ -104,6 +107,14 @@ class TestLmSolve:
         assert est.tau_hat == 0.045996742099088266
 
 
+    def test_singular_covariance_is_nan(self):
+        # the second parameter moves no residual, so J^T J cannot be inverted
+        x, cov, diag = lm_solve(lambda p: np.array([p[0] - 1.0, p[0] - 2.0]),
+                                lambda p: np.array([[1.0, 0.0], [1.0, 0.0]]), [0.0, 0.0])
+        assert x[0] == pytest.approx(1.5) and diag["converged"]
+        assert cov.shape == (2, 2) and np.isnan(cov).all()
+
+
 class TestFitExponential:
     def test_noiseless_recovery(self):
         density = exp_density(0.0, 0.066, 15e-3, np.arange(1, 101))
@@ -138,6 +149,25 @@ class TestFitExponential:
         assert diag["converged"] and diag["reason"] == "xtol"
         assert est.converged is not rejected
         assert diag.get("sanity_rejected", False) is rejected
+
+    @pytest.mark.parametrize(
+        "occurrences, tau_hat, reason, converged",
+        [
+            # the fit runs away to a tau where exp(-t/tau) is 1 at every t
+            (np.arange(1, 9), 7.407467296666405e89, "xtol", False),
+            # a flat density starts at A = 0, with zero cost and a zero tau column
+            (np.ones(8), 4.5e-3, "zero cost", True),
+        ],
+        ids=["rising", "flat"],
+    )
+    def test_unknown_std_err_is_nan(self, occurrences, tau_hat, reason, converged):
+        # J^T J is singular in both, so np.linalg.inv fails; np.linalg.pinv
+        # gave these a std_err of 0.0.  tau_hat and converged are unchanged.
+        hist = DwellHistogram("on", 1e-3, np.arange(1, 9), occurrences)
+        est = fit_exponential(empirical_density(hist))
+        assert math.isnan(est.std_err)
+        assert (est.tau_hat, est.diagnostics["reason"], est.converged) == (
+            pytest.approx(tau_hat, rel=1e-12), reason, converged)
 
     def test_short_trace_failure_mode(self):
         # 2 s traces: the fit mostly fails the benchmark predicate or is

@@ -20,15 +20,17 @@ these times tell an import regression apart from the set-up spread.
 Without cached bytecode (PYTHONDONTWRITEBYTECODE=1) that import compiles
 every module, so `compile()` of every `src/blinkfit/*.py` is also timed,
 COMPILE_RUNS times per side in this process, the sides alternating: it
-shows whether a source change moved the import's compile step.
-Runs are sequential, one process at a time.
+shows whether a source change moved the import's compile step.  The
+lines of every `src/blinkfit/*.py`, as `wc -l` counts them, are recorded
+per side too.  Runs are sequential, one process at a time.
 
 The JSON written holds every run's end-to-end metrics, `correct`,
 `attempted` and `failed`; per workload and side the median and quartiles
 of each metric; the pairs the change won; the hash lines; the traced
 runs under `per_layer[workload][side]`; the import and compile times
 under `import_s[side]` and `compile_s[side]`, with their medians and
-quartiles; and the machine facts the runs printed.  Per workload and
+quartiles; the source lines per module and in total under
+`source_lines[side]`; and the machine facts the runs printed.  Per workload and
 metric it also judges the untraced runs:
 
 - `gain`: the change won at least 9 of 10 pairs, and its median is
@@ -45,8 +47,8 @@ BENCHMARK.json gives a count or ratio unit must read the same on both
 sides of a workload, as it does for a change that leaves the output
 bit-exact.  Those that differ are listed under `counters_differ`.
 
-The import and compile times' medians and quartiles are printed next, and the last
-line printed is the verdict: every (workload, metric) out of
+The import and compile times' medians and quartiles and the source
+line totals are printed next, and the last line printed is the verdict: every (workload, metric) out of
 its bound, unresolved or with a gain, every workload whose runs were not
 all correct or gave no metrics, whether the hashes are equal, and every
 (workload, counter) that differs.
@@ -161,6 +163,16 @@ def compile_times(checkouts: dict, runs: int = COMPILE_RUNS) -> dict:
                 compile(text, path, "exec", dont_inherit=True)
             times[side].append(time.perf_counter() - start)
     return {side: dict(quartiles(values), runs=values) for side, values in times.items()}
+
+
+def source_lines(checkouts: dict) -> dict:
+    """Newlines in each src/blinkfit/*.py per side, as `wc -l` counts them, and their total."""
+    out = {}
+    for side, checkout in checkouts.items():
+        modules = {path.name: path.read_bytes().count(b"\n")
+                   for path in sorted((checkout / "src" / "blinkfit").glob("*.py"))}
+        out[side] = {"modules": modules, "total": sum(modules.values())}
+    return out
 
 
 def times_line(name: str, times: dict) -> str:
@@ -289,6 +301,7 @@ def main(argv=None) -> int:
         report["per_layer"] = per_layer(checkouts, workloads, SEEDS[0])
         report["import_s"] = import_times(checkouts)
         report["compile_s"] = compile_times(checkouts)
+        report["source_lines"] = source_lines(checkouts)
     report["results_hashes"] = hashes
     report["results_hashes_equal"] = hashes["parent"] == hashes["change"]
     counters = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "ratio")]
@@ -296,6 +309,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(times_line("import_s", report["import_s"]))
     print(times_line("compile_s", report["compile_s"]))
+    print("source_lines: " + ", ".join(
+        f"{side} {lines['total']}" for side, lines in report["source_lines"].items()))
     print(verdict_line(report))
     return 0
 
