@@ -59,14 +59,15 @@ def estimates(seed: int, factor: float, method: str, reverse: bool = False) -> d
     trace = simulate(seed, factor)
     if reverse:
         trace = BlinkTrace(trace.bin_width, trace.counts[::-1])
+    models = mfr_models(factor) if method == "mfr" else None
     lo, hi = DEFAULT_GA_TAU_RANGE
-    _, out = analyze_trace(trace, method, seed, models=mfr_models(factor) if method == "mfr"
-                           else None, ga_config=GaConfig(tau_range=(lo * factor, hi * factor)))
+    ga_config = GaConfig(tau_range=(lo * factor, hi * factor))
+    _, out = analyze_trace(trace, method, seed, models=models, ga_config=ga_config)
     return out
 
 
-def tau_bits(out: dict) -> bytes:
-    return np.array([out[state].tau_hat for state in STATES]).tobytes()
+def taus(out: dict) -> np.ndarray:
+    return np.array([out[state].tau_hat for state in STATES])
 
 
 @pytest.mark.parametrize("factor", FACTORS)
@@ -84,7 +85,7 @@ class TestTimeScale:
     @pytest.mark.parametrize("method", ["ga", "mfr"])
     def test_ga_and_mfr_scale_exactly(self, seed, factor, method):
         base, scaled = estimates(seed, 1.0, method), estimates(seed, factor, method)
-        assert tau_bits(scaled) == (factor * np.frombuffer(tau_bits(base))).tobytes()
+        assert taus(scaled).tobytes() == (factor * taus(base)).tobytes()
         for state in STATES:
             assert scaled[state].converged == base[state].converged
             assert scaled[state].diagnostics.get("iterations") == base[state].diagnostics.get(
@@ -119,4 +120,4 @@ def test_counts_survive_the_file_round_trip(tmp_path, bin_width, factor):
 @pytest.mark.parametrize("method", ["lm", "ga"])
 def test_time_reversal_gives_the_same_lifetimes(seed, method):
     forward, backward = estimates(seed, 1.0, method), estimates(seed, 1.0, method, reverse=True)
-    assert tau_bits(backward) == tau_bits(forward)
+    assert taus(backward).tobytes() == taus(forward).tobytes()
