@@ -7,9 +7,10 @@ fixed default so repeated invocations produce byte-identical artifacts.
 
 Time values take an optional ms or s suffix and must be positive and
 finite.  A value the library refuses, a bad relation between flags (a
---duration shorter than --bin-width, --tau-min not below --tau-max) or a
-path that cannot be read or written prints "error: <message>" and exits
-with 1.  Exit codes: 0 success, 1 error, 2 analysis non-convergence.
+--duration shorter than --bin-width, --tau-min not below --tau-max), a
+path that cannot be read or written, or an array too large to allocate
+prints "error: <message>" and exits with 1.  Exit codes: 0 success, 1
+error, 2 analysis non-convergence.
 """
 
 from __future__ import annotations
@@ -251,8 +252,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError) as exc:  # a value the library refuses, or a file error
-        return _Parser._fail(str(exc))
+    # a value the library refuses, a file error, or an array too large to allocate
+    except (MemoryError, OSError, ValueError) as exc:
+        return _Parser._fail(str(exc) or type(exc).__name__)
 
 
 def entrypoint() -> None:

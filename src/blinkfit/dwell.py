@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emitter import BlinkTrace
+from .emitter import _BLOCK_BINS, BlinkTrace
 from .errors import EmptyHistogramError, NoSeparationError
 
 # A second count-histogram mode only counts if the valley between it and the
@@ -114,10 +114,30 @@ def _count_values(counts: np.ndarray) -> np.ndarray:
     """Counts rounded to integers (half to even), negatives raised to 0.
 
     np.clip(np.rint(counts).astype(int), 0, None) in one buffer: rint
-    casts into it, then the clip works in place.
+    casts into it, then the clip works in place.  _count_histogram passes
+    one block of a trace at a time, so the buffer stays one block long.
     """
     values = np.rint(counts, out=np.empty(counts.size, dtype=int), casting="unsafe")
     return np.clip(values, 0, None, out=values)
+
+
+def _count_histogram(counts: np.ndarray) -> np.ndarray:
+    """np.bincount(_count_values(counts)).astype(float), one block at a time.
+
+    Each block of _BLOCK_BINS counts is tallied with np.bincount and added
+    into one integer tally, which is cast to float at the end.  Integer
+    sums are exact, so the histogram has the bits of one bincount over the
+    whole trace, without its int64 copy of every count.
+    """
+    tally = np.bincount(_count_values(counts[:_BLOCK_BINS]))
+    for start in range(_BLOCK_BINS, counts.size, _BLOCK_BINS):
+        part = np.bincount(_count_values(counts[start : start + _BLOCK_BINS]))
+        if part.size > tally.size:
+            part[: tally.size] += tally
+            tally = part
+        else:
+            tally[: part.size] += part
+    return tally.astype(float)
 
 
 def auto_threshold(trace: BlinkTrace) -> float:
@@ -126,11 +146,13 @@ def auto_threshold(trace: BlinkTrace) -> float:
     The count histogram of a well-separated blinking trace is bimodal; the
     two dominant peaks are located and the midpoint of their positions is
     returned.  Raises NoSeparationError when no second mode with a genuine
-    valley towards the main mode exists (unimodal counts).
+    valley towards the main mode exists (unimodal counts).  The histogram
+    is tallied in fixed blocks (_count_histogram), with the bits of one
+    tally over the whole trace, so a pass needs no n-bin temporary.
     """
     if len(trace) == 0:
         raise ValueError("cannot threshold an empty trace")
-    hist = np.bincount(_count_values(trace.counts)).astype(float)
+    hist = _count_histogram(trace.counts)
     smooth = np.convolve(hist, _SMOOTH_KERNEL, mode="same")
 
     main = int(np.argmax(smooth))

@@ -27,6 +27,9 @@ import numpy as np
 
 DEFAULT_MEAN_ON_COUNTS = 100.0
 DEFAULT_MEAN_OFF_COUNTS = 10.0
+# Bins per block in a pass over a whole trace (the Poisson draw here,
+# dwell.auto_threshold's tally), so no n_bins temporary is made.
+_BLOCK_BINS = 65536
 
 
 @dataclass(frozen=True)
@@ -152,9 +155,12 @@ def generate_trace(
 
     The dwells come from one bulk draw (_draw_dwells).  Each on-dwell adds
     its overlap with its first and last bin, in dwell order, and the bins
-    between lie wholly inside it.  The result, and the state a passed
-    Generator is left in, are bit for bit those of drawing and binning one
-    dwell at a time.
+    between lie wholly inside it.  The Poisson counts are drawn in blocks
+    of _BLOCK_BINS bins, in order, into the counts buffer, so a trace
+    needs its own arrays and one block, not a second n-bin array.  The
+    result, and the state a passed Generator is left in, are bit for bit
+    those of drawing and binning one dwell at a time and drawing every
+    Poisson count in one call.
 
     Parameters
     ----------
@@ -203,7 +209,10 @@ def generate_trace(
     step = np.zeros(n_bins, dtype=np.int8)
     step[i0[spans] + 1] = 1
     step[i1[spans]] = -1
-    counts[np.cumsum(step, dtype=np.int8).astype(bool)] = bin_width
+    # the interior spans are disjoint, so the running sum is 0 or 1 and
+    # reads as a bool mask in place
+    counts[np.cumsum(step, dtype=np.int8, out=step).view(bool)] = bin_width
+    del step  # not held beside hidden_states
 
     counts /= bin_width
     np.clip(counts, 0.0, 1.0, out=counts)
@@ -212,7 +221,11 @@ def generate_trace(
     counts *= hi - lo
     counts += lo
     if photon_noise == "poisson":
-        counts[:] = generator.poisson(counts)
+        # numpy draws an array's elements in order, so block after block
+        # gives the one-call stream without its n_bins int64 result
+        for start in range(0, n_bins, _BLOCK_BINS):
+            block = counts[start : start + _BLOCK_BINS]
+            block[:] = generator.poisson(block)
 
     return BlinkTrace(
         bin_width=bin_width,

@@ -6,13 +6,14 @@ pair count, a median gap against the parent's interquartile range, the
 bound itself, and a parent spread too wide for the bound to settle.  The
 traced per-layer runs, and the verdict line that main prints last, are
 checked with perfbench stubbed out, and so are the import and compile
-timings and the source line counts.
+timings, the source line counts and the trial peaks.
 """
 
 import ast
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ class Proc:
 
 
 def fake_subprocess_run(cmd, **kwargs):
-    """git's revision, or 0.1 s from an import-timing child."""
+    """git's revision, or 0.1 from an import-timing or trial-peak child."""
     return Proc("0.1\n" if cmd[1] == "-c" else "abc123\n")
 
 
@@ -227,6 +228,7 @@ class TestImportTimes:
             assert side["median"] == side["q1"] == side["q3"] == 0.1
         assert report["source_lines"] == {"parent": {"modules": {}, "total": 0},
                                           **tool.source_lines({"change": ROOT})}
+        assert report["trial_peak_mb"] == {"parent": 0.1, "change": 0.1}
 
 
 class TestCompileTimes:
@@ -257,6 +259,28 @@ class TestCompileTimes:
     def test_compiles_this_checkouts_sources(self, tool):
         out = tool.compile_times({"change": ROOT}, runs=2)
         assert min(out["change"]["runs"]) > 0
+
+
+class TestTrialPeaks:
+    def test_one_fresh_interpreter_per_side(self, tool, monkeypatch):
+        calls = []
+        peaks = {"p": "18.98\n", "c": "11.38\n"}
+
+        def fake_run(cmd, **kwargs):
+            calls.append(cmd)
+            return Proc(peaks[Path(cmd[-1]).parent.name])
+
+        monkeypatch.setattr(tool.subprocess, "run", fake_run)
+        out = tool.trial_peaks({"parent": Path("p"), "change": Path("c")})
+        assert out == {"parent": 18.98, "change": 11.38}
+        assert calls == [[tool.sys.executable, "-c", tool.TRIAL_PEAK_CHILD, str(Path(side) / "src")]
+                         for side in ("p", "c")]
+
+    def test_child_traces_a_long_lm_trial(self, tool):
+        # the trace's counts (8 MB) and hidden states (1 MB) are live at the peak
+        done = subprocess.run([sys.executable, "-c", tool.TRIAL_PEAK_CHILD, str(ROOT / "src")],
+                              capture_output=True, text=True, check=True)
+        assert float(done.stdout) > 9.0
 
 
 class TestSourceLines:
@@ -344,12 +368,13 @@ class TestVerdictLine:
         monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
         out = tmp_path / "bench.json"
         assert tool.main(["--parent", "HEAD", "--out", str(out)]) == 0
-        *_, imports, compiles, lines, last = capsys.readouterr().out.splitlines()
+        *_, imports, compiles, lines, peaks, last = capsys.readouterr().out.splitlines()
         assert imports == ("import_s: parent 0.1000 s (0.1000-0.1000), "
                            "change 0.1000 s (0.1000-0.1000)")
         assert compiles.startswith("compile_s: parent ")
         total = tool.source_lines({"change": ROOT})["change"]["total"]
         assert lines == f"source_lines: parent 0, change {total}"
+        assert peaks == "trial_peak_mb: parent 0.10 MB, change 0.10 MB"
         assert last == ("verdict: out of bound: long-lm op_p90_s; unresolved: none; "
                         "gain: trace-files setup_s; not all correct: sweep-2s; "
                         "results_hashes_equal: true; counters differ: none")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from blinkfit import cli
 from blinkfit.cli import main, parse_time
 
 
@@ -149,6 +150,22 @@ class TestSimulate:
         out = tmp_path / "x.json"
         assert run(["simulate", "--duration", "0.05s", "--out", str(out)]) == 1
         assert assert_error(capsys, str(out), ".json") == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 2.73 GiB for an array"), "Unable to allocate 2.73 GiB"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_allocation_failure(self, tmp_path, capsys, monkeypatch, exc, message):
+        # a trace too long for memory ended in a traceback; the stub raises
+        # what numpy would, so the test allocates nothing
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "generate_trace", no_memory)
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--duration", "1e7s", "--out", str(out)]) == 1
+        assert assert_error(capsys, message) == ""
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blinkfit import dwell
 from blinkfit.dwell import (
     DwellHistogram,
     StateSequence,
+    _count_histogram,
     _count_values,
     _local_maxima,
     auto_threshold,
@@ -14,7 +18,7 @@ from blinkfit.dwell import (
     empirical_density,
     mean_dwell,
 )
-from blinkfit.emitter import BlinkTrace, EmitterModel, generate_trace
+from blinkfit.emitter import _BLOCK_BINS, BlinkTrace, EmitterModel, generate_trace
 from blinkfit.errors import EmptyHistogramError, NoSeparationError
 
 
@@ -102,6 +106,89 @@ class TestCountValues:
             np.testing.assert_array_equal(_count_values(counts), self.old_values(counts))
         halves = rng.integers(-20, 200, 10000) / 2.0
         np.testing.assert_array_equal(_count_values(halves), self.old_values(halves))
+
+
+def bimodal(rng, size):
+    """Poisson counts around 10 and, in 30 % of the bins, around 100."""
+    return np.where(rng.random(size) < 0.3, rng.poisson(100.0, size), rng.poisson(10.0, size))
+
+
+def low_then_bimodal(rng):
+    counts = np.concatenate([rng.poisson(10.0, _BLOCK_BINS), bimodal(rng, _BLOCK_BINS + 3)])
+    assert counts[:_BLOCK_BINS].max() < counts[_BLOCK_BINS:].max()
+    return counts
+
+
+def bimodal_then_low(rng):
+    counts = np.concatenate([bimodal(rng, _BLOCK_BINS), rng.poisson(10.0, _BLOCK_BINS + 5)])
+    assert counts[:_BLOCK_BINS].max() > counts[_BLOCK_BINS:].max()
+    return counts
+
+
+def signed(rng):
+    size = 2 * _BLOCK_BINS + 1
+    counts = np.where(rng.random(size) < 0.3, rng.normal(100.0, 10.0, size),
+                      rng.normal(2.0, 5.0, size))
+    assert (counts < -0.5).any()
+    return counts
+
+
+class TestCountHistogram:
+    """_count_histogram tallies _BLOCK_BINS counts at a time.  The histogram,
+    the threshold and every NoSeparationError must be those of one bincount
+    over all the counts."""
+
+    CASES = {
+        "largest count in a later block": low_then_bimodal,
+        "largest count in the first block": bimodal_then_low,
+        "negative counts": signed,
+        "exactly one block": lambda rng: bimodal(rng, _BLOCK_BINS),
+        "one bin": lambda rng: np.array([7.0]),
+        "three blocks and 3 bins": lambda rng: bimodal(rng, 2 * _BLOCK_BINS + 3),
+        "constant": lambda rng: np.full(2 * _BLOCK_BINS + 3, 50.0),
+        "unimodal": lambda rng: rng.poisson(50.0, 3 * _BLOCK_BINS),
+        "simulated, poisson": lambda rng: generate_trace(
+            EmitterModel(15e-3, 45e-3), 150.0, 1e-3, "poisson", rng=rng).counts,
+        "simulated, no noise": lambda rng: generate_trace(
+            EmitterModel(15e-3, 45e-3), 150.0, 1e-3, None, rng=rng).counts,
+    }
+
+    @staticmethod
+    def one_shot(counts):
+        return np.bincount(_count_values(counts)).astype(float)
+
+    @staticmethod
+    def outcome(trace):
+        try:
+            return auto_threshold(trace)
+        except NoSeparationError:
+            return "no separation"
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_one_bincount(self, case, monkeypatch):
+        counts = np.asarray(self.CASES[case](np.random.default_rng(11)), dtype=float)
+        hist = _count_histogram(counts)
+        assert hist.dtype == float
+        assert hist.tobytes() == self.one_shot(counts).tobytes()
+        trace = trace_from(counts)
+        threshold = self.outcome(trace)
+        with monkeypatch.context() as patched:
+            patched.setattr(dwell, "_count_histogram", self.one_shot)
+            assert self.outcome(trace) == threshold
+        if case in ("one bin", "constant", "unimodal"):
+            assert threshold == "no separation"
+
+    def test_auto_threshold_peak(self):
+        # the counts of one block in int64, not of the whole trace (8 MB)
+        trace = generate_trace(EmitterModel(15e-3, 45e-3), 1000.0, 1e-3, "poisson", rng=2023)
+        auto_threshold(trace_from([100.0, 10.0] * 200))  # first-call set-up
+        tracemalloc.start()
+        try:
+            auto_threshold(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestLocalMaxima:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from blinkfit import emitter
 from blinkfit.dwell import binarize
 from blinkfit.emitter import (
+    _BLOCK_BINS,
     DEFAULT_MEAN_OFF_COUNTS,
     DEFAULT_MEAN_ON_COUNTS,
     BlinkTrace,
@@ -168,6 +170,22 @@ class TestGenerateTracePin:
                         assert trace.hidden_states.tobytes() == hidden.tobytes()
                         assert bulk.bit_generator.state == loop.bit_generator.state
 
+    @pytest.mark.parametrize("noise", ["poisson", None])
+    @pytest.mark.parametrize(
+        "n_bins", [_BLOCK_BINS - 1, _BLOCK_BINS, _BLOCK_BINS + 1, 2 * _BLOCK_BINS + 3]
+    )
+    def test_block_seams_match_per_dwell_loop(self, n_bins, noise):
+        # generate_trace draws the Poisson counts _BLOCK_BINS bins at a
+        # time; the loop draws them all in one call
+        for seed in range(2):
+            bulk, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            trace = generate_trace(make_model(), n_bins * 1e-3, 1e-3, noise, rng=bulk)
+            counts, hidden = per_dwell_trace(make_model(), n_bins * 1e-3, 1e-3, noise, loop)
+            assert trace.counts.size == n_bins
+            assert trace.counts.tobytes() == counts.tobytes()
+            assert trace.hidden_states.tobytes() == hidden.tobytes()
+            assert bulk.bit_generator.state == loop.bit_generator.state
+
     def test_redraw_when_first_draw_falls_short(self):
         # with means of 1 s over 600 s, _draw_dwells first draws 724 dwells;
         # for this seed they sum to less than 600 s, so it draws again
@@ -216,6 +234,28 @@ class TestGenerateTracePin:
         assert h.hexdigest() == (
             "a995441f182a785feeeb7c362437751d2e67179b2832f96c8d6b5e88ffb553b2"
         )
+
+
+class TestMemory:
+    """A 1000 s trace costs its own arrays and a fixed margin, no n-bin temporary.
+
+    The margin holds the dwells' arrays (about 1.5 MB at 1000 s), the bool
+    mask BlinkTrace's finite check makes (1 MB) and one block of int64
+    Poisson draws (0.5 MB).  A full-size int64 Poisson result would add
+    8 MB more.
+    """
+
+    MARGIN = 3 * 2**20
+
+    def test_generate_trace_peak(self):
+        generate_trace(make_model(), 1.0, 1e-3, "poisson", rng=2023)  # first-call set-up
+        tracemalloc.start()
+        try:
+            trace = generate_trace(make_model(), 1000.0, 1e-3, "poisson", rng=2023)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace.counts.nbytes + trace.hidden_states.nbytes + self.MARGIN
 
 
 class TestModelValidation:

@@ -22,7 +22,11 @@ every module, so `compile()` of every `src/blinkfit/*.py` is also timed,
 COMPILE_RUNS times per side in this process, the sides alternating: it
 shows whether a source change moved the import's compile step.  The
 lines of every `src/blinkfit/*.py`, as `wc -l` counts them, are recorded
-per side too.  Runs are sequential, one process at a time.
+per side too.  Last, one fresh interpreter per side runs one 1000 s LM
+trial under `tracemalloc` and prints its peak: the bytes numpy and
+Python hold live, so a `peak_rss_mb` move can be told apart into live
+bytes and the C heap's layout.  Runs are sequential, one process at a
+time.
 
 The JSON written holds every run's end-to-end metrics, `correct`,
 `attempted` and `failed`; per workload and side the median and quartiles
@@ -30,8 +34,9 @@ of each metric; the pairs the change won; the hash lines; the traced
 runs under `per_layer[workload][side]`; the import and compile times
 under `import_s[side]` and `compile_s[side]`, with their medians and
 quartiles; the source lines per module and in total under
-`source_lines[side]`; and the machine facts the runs printed.  Per workload and
-metric it also judges the untraced runs:
+`source_lines[side]`; the trial's `tracemalloc` peak in MB under
+`trial_peak_mb[side]`; and the machine facts the runs printed.  Per
+workload and metric it also judges the untraced runs:
 
 - `gain`: the change won at least 9 of 10 pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -47,11 +52,12 @@ BENCHMARK.json gives a count or ratio unit must read the same on both
 sides of a workload, as it does for a change that leaves the output
 bit-exact.  Those that differ are listed under `counters_differ`.
 
-The import and compile times' medians and quartiles and the source
-line totals are printed next, and the last line printed is the verdict: every (workload, metric) out of
-its bound, unresolved or with a gain, every workload whose runs were not
-all correct or gave no metrics, whether the hashes are equal, and every
-(workload, counter) that differs.
+The import and compile times' medians and quartiles, the source line
+totals and the trial peaks are printed next, and the last line printed
+is the verdict: every (workload, metric) out of its bound, unresolved
+or with a gain, every workload whose runs were not all correct or gave
+no metrics, whether the hashes are equal, and every (workload, counter)
+that differs.
 
 It needs only the standard library and git; perfbench itself needs what
 the program needs.
@@ -78,6 +84,13 @@ COMPILE_RUNS = 21  # compiles of the package's sources per side
 IMPORT_CHILD = (
     "import sys, time; sys.path.insert(0, sys.argv[1]); "
     "t = time.perf_counter(); import blinkfit.cli; print(time.perf_counter() - t)"
+)
+# argv[1] is the checkout's src directory; the import is not traced
+TRIAL_PEAK_CHILD = (
+    "import sys, tracemalloc; sys.path.insert(0, sys.argv[1]); "
+    "from blinkfit import bench; tracemalloc.start(); "
+    "bench.run_trial(bench.default_scenario(), 1000.0, 'lm', 0); "
+    "print(tracemalloc.get_traced_memory()[1] / 1e6)"
 )
 
 
@@ -163,6 +176,18 @@ def compile_times(checkouts: dict, runs: int = COMPILE_RUNS) -> dict:
                 compile(text, path, "exec", dont_inherit=True)
             times[side].append(time.perf_counter() - start)
     return {side: dict(quartiles(values), runs=values) for side, values in times.items()}
+
+
+def trial_peaks(checkouts: dict) -> dict:
+    """MB at the tracemalloc peak of one 1000 s LM trial, in a fresh interpreter per side."""
+    out = {}
+    for side, checkout in checkouts.items():
+        done = subprocess.run(
+            [sys.executable, "-c", TRIAL_PEAK_CHILD, str(checkout / "src")],
+            capture_output=True, text=True, check=True,
+        )
+        out[side] = float(done.stdout.split()[-1])
+    return out
 
 
 def source_lines(checkouts: dict) -> dict:
@@ -302,6 +327,7 @@ def main(argv=None) -> int:
         report["import_s"] = import_times(checkouts)
         report["compile_s"] = compile_times(checkouts)
         report["source_lines"] = source_lines(checkouts)
+        report["trial_peak_mb"] = trial_peaks(checkouts)
     report["results_hashes"] = hashes
     report["results_hashes_equal"] = hashes["parent"] == hashes["change"]
     counters = [m["name"] for m in bench["per_layer"] if m["unit"] in ("count", "ratio")]
@@ -311,6 +337,8 @@ def main(argv=None) -> int:
     print(times_line("compile_s", report["compile_s"]))
     print("source_lines: " + ", ".join(
         f"{side} {lines['total']}" for side, lines in report["source_lines"].items()))
+    print("trial_peak_mb: " + ", ".join(
+        f"{side} {mb:.2f} MB" for side, mb in report["trial_peak_mb"].items()))
     print(verdict_line(report))
     return 0
 
