@@ -144,7 +144,7 @@ class TestCountHistogram:
         "negative counts": signed,
         "exactly one block": lambda rng: bimodal(rng, _BLOCK_BINS),
         "one bin": lambda rng: np.array([7.0]),
-        "three blocks and 3 bins": lambda rng: bimodal(rng, 2 * _BLOCK_BINS + 3),
+        "two blocks and 3 bins": lambda rng: bimodal(rng, 2 * _BLOCK_BINS + 3),
         "constant": lambda rng: np.full(2 * _BLOCK_BINS + 3, 50.0),
         "unimodal": lambda rng: rng.poisson(50.0, 3 * _BLOCK_BINS),
         "simulated, poisson": lambda rng: generate_trace(
@@ -175,8 +175,8 @@ class TestCountHistogram:
         with monkeypatch.context() as patched:
             patched.setattr(dwell, "_count_histogram", self.one_shot)
             assert self.outcome(trace) == threshold
-        if case in ("one bin", "constant", "unimodal"):
-            assert threshold == "no separation"
+        no_separation = case in ("one bin", "constant", "unimodal")
+        assert (threshold == "no separation") == no_separation
 
     def test_auto_threshold_peak(self):
         # the counts of one block in int64, not of the whole trace (8 MB)
